@@ -247,6 +247,16 @@ def _run_query(inst: Instantiated, q, flags) -> Verdict:
         if isinstance(outcome, NotProved):
             frontier = "; ".join(s.render() for s in outcome.frontier[:4])
             return Verdict(q.id, q.kind, False, f"not proved ({outcome.reason}): {frontier}")
+        if outcome.sequent != seq:
+            raise InternalError(
+                f"query {q.id!r} was proved by a tree for {outcome.sequent.render()}"
+            )
+        bad = derivation.verify_tree(outcome, inst.assumptions)
+        if bad is not None:
+            raise InternalError(
+                f"query {q.id!r} was proved but its tree does not re-check: "
+                f"{bad.reason} at {bad.sequent.render()}"
+            )
         semantic = None
         if inst.model is not None:
             semantic = entails(inst.model, q.lhs, q.rhs)

@@ -11,6 +11,16 @@ every rule application is a pure function of the goal and the assumptions,
 so identical inputs produce identical trees. Failed alternatives are
 backtracked; the depth budget strictly decreases along every branch, so
 search always terminates. NotProved is a search verdict, not a refutation.
+
+Within one prove call, search is tabled on the exact key (goal, budget),
+after OLDT resolution (Tamaki & Sato, 1986): each subgoal is expanded once
+per budget, however many alternatives reach it. With the assumptions and
+the rule order fixed, searching a goal at a budget is a pure function, and
+repeating it would only record dead ends that are already recorded and set
+a depth-exhausted flag that is already set. So the table changes no proof
+tree, no NotProved reason and no frontier, only the work. A failure is
+never reused at a smaller budget: that would keep the verdict but could
+report a different frontier.
 """
 
 from __future__ import annotations
@@ -269,7 +279,7 @@ def _contains(t, target):
     return any(_contains(k, target) for k in T.children(t))
 
 
-def _find_no_miracle(t, assumptions, path_monotone=True):
+def _find_no_miracle(t, assumptions):
     """First f[A](upd[a](s)) redex reachable through monotone constructors,
     with a a concrete action whose appearance to A is declared."""
     if isinstance(t, App) and isinstance(t.arg, Upd):
@@ -428,6 +438,8 @@ def apply_rule(rule: str, seq: Sequent, assumptions: Assumptions):
 
 # -- search ----------------------------------------------------------------------
 
+_UNSEEN = object()
+
 
 def prove(
     seq: Sequent,
@@ -440,15 +452,24 @@ def prove(
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     order = RULE_ORDER_NO_KERNEL_SHORTCUT if no_kernel_shortcut else RULE_ORDER
-    dead_ends: list[Sequent] = []
-    state = {"depth_exhausted": False}
+    dead_ends: dict[Sequent, None] = {}  # insertion-ordered set
+    table: dict[tuple[Sequent, int], ProofNode | None] = {}
+    depth_exhausted = False
 
     def search(goal: Sequent, budget: int):
+        nonlocal depth_exhausted
         if budget <= 0:
-            state["depth_exhausted"] = True
-            if goal not in dead_ends:
-                dead_ends.append(goal)
+            depth_exhausted = True
+            dead_ends.setdefault(goal)
             return None
+        key = (goal, budget)
+        found = table.get(key, _UNSEEN)
+        if found is not _UNSEEN:
+            return found
+        table[key] = found = expand(goal, budget)
+        return found
+
+    def expand(goal: Sequent, budget: int):
         applied_any = False
         for rule in order:
             res = apply_rule(rule, goal, assumptions)
@@ -464,15 +485,15 @@ def prove(
                 kids.append(sub)
             else:
                 return ProofNode(goal, rule, note, tuple(kids))
-        if not applied_any and goal not in dead_ends:
-            dead_ends.append(goal)
+        if not applied_any:
+            dead_ends.setdefault(goal)
         return None
 
     tree = search(seq, max_depth)
     if tree is not None:
         return tree
-    reason = "depth_exhausted" if state["depth_exhausted"] else "no_applicable_rule"
-    return NotProved(reason, tuple(dead_ends[:16]))
+    reason = "depth_exhausted" if depth_exhausted else "no_applicable_rule"
+    return NotProved(reason, tuple(dead_ends)[:16])
 
 
 def verify_tree(tree: ProofNode, assumptions: Assumptions):

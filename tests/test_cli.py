@@ -3,7 +3,12 @@
 import json
 from importlib import resources
 
+import pytest
+
+from adjointkit import derivation
 from adjointkit.cli import main
+from adjointkit.derivation import KERNEL_DISCHARGE, ORDER_AXIOM, ProofNode
+from adjointkit.terms import parse_entailment
 
 
 def fixture_path(name: str) -> str:
@@ -167,6 +172,28 @@ def test_unsound_assumptions_trip_the_internal_breach(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 4
     assert "fails semantically" in out
+
+
+@pytest.mark.parametrize(
+    "forged, message",
+    [
+        # a rule that does not apply to the query's own sequent
+        (ProofNode(parse_entailment("H |= after[abar](fi[A](H))"), KERNEL_DISCHARGE, "", ()),
+         "does not re-check"),
+        # a sound tree, but for another goal
+        (ProofNode(parse_entailment("H |= H"), ORDER_AXIOM, "both sides are equal", ()),
+         "proved by a tree for H |= H"),
+    ],
+)
+def test_forged_proof_trips_the_internal_breach(monkeypatch, capsys, forged, message):
+    # coin-lying is symbolic, so only the tree re-check stands between a bad
+    # prover result and an "ok" verdict
+    monkeypatch.setattr(derivation, "prove", lambda *args, **kwargs: forged)
+    code = main(["prove", fixture_path("coin-lying.scn"), "q2"])
+    out = capsys.readouterr().out
+    assert code == 4
+    assert "q2 [prove]: FAIL" in out
+    assert message in out
 
 
 def test_tables_dump(capsys):

@@ -13,12 +13,14 @@ from adjointkit import (
     render_proof,
     verify_tree,
 )
+from adjointkit import derivation
 from adjointkit.derivation import (
     ADJ_UNFOLD_AFTER,
     ADJ_UNFOLD_INFO,
     APP_SUBST,
     ACT_APP_SUBST,
     CASE_SPLIT,
+    DEFAULT_MAX_DEPTH,
     FACT_DISCHARGE,
     JOIN_DISTRIB,
     KERNEL_DISCHARGE,
@@ -431,11 +433,10 @@ import random
 from conftest import honest_coin_model, lying_coin_model
 
 
-@pytest.mark.parametrize("model_builder", [honest_coin_model, lying_coin_model])
-def test_engine_soundness_fuzz(model_builder):
-    """With fully realized assumptions, everything the engine proves must
-    hold in the model, and every returned tree must verify."""
-    from adjointkit.semantics import SemanticModel, holds
+def fuzz_corpus(model_builder):
+    """The soundness-fuzz model, its fully realized assumptions, and 400
+    random goals drawn from a fixed seed."""
+    from adjointkit.semantics import SemanticModel
 
     alg = model_builder()
     lat = alg.lattice
@@ -446,10 +447,23 @@ def test_engine_soundness_fuzz(model_builder):
     rng = random.Random(1234)
     agents = list(alg.mama.agents)
     actions = list(alg.actions)
+    goals = [
+        random_goal(rng, list(lat.worlds), agents, actions, rng.randint(1, 3))
+        for _ in range(400)
+    ]
+    return model, assumptions, goals
+
+
+@pytest.mark.parametrize("model_builder", [honest_coin_model, lying_coin_model])
+def test_engine_soundness_fuzz(model_builder):
+    """With fully realized assumptions, everything the engine proves must
+    hold in the model, and every returned tree must verify."""
+    from adjointkit.semantics import holds
+
+    model, assumptions, goals = fuzz_corpus(model_builder)
     proved = refuted = 0
-    for _ in range(400):
-        goal = random_goal(rng, list(lat.worlds), agents, actions, rng.randint(1, 3))
-        outcome = prove(goal, assumptions, 12)
+    for goal in goals:
+        outcome = prove(goal, assumptions, DEFAULT_MAX_DEPTH)
         if isinstance(outcome, ProofNode):
             proved += 1
             assert verify_tree(outcome, assumptions) is None
@@ -473,3 +487,115 @@ def test_proved_honest_goals_hold_in_the_three_world_model():
         tree = prove(seq, honest_assumptions(), 16)
         assert isinstance(tree, ProofNode)
         assert holds(model, seq)
+
+
+# -- tabling against the untabled reference ------------------------------------------
+
+
+def reference_prove(seq, assumptions, max_depth, *, no_kernel_shortcut=False):
+    """Plain depth-first backtracking with no memory: the search prove ran
+    before it was tabled, kept here as the reference its results must equal."""
+    order = (
+        derivation.RULE_ORDER_NO_KERNEL_SHORTCUT
+        if no_kernel_shortcut
+        else derivation.RULE_ORDER
+    )
+    dead_ends = []
+    state = {"depth_exhausted": False}
+
+    def search(goal, budget):
+        if budget <= 0:
+            state["depth_exhausted"] = True
+            if goal not in dead_ends:
+                dead_ends.append(goal)
+            return None
+        applied_any = False
+        for rule in order:
+            res = derivation.apply_rule(rule, goal, assumptions)
+            if res is None:
+                continue
+            applied_any = True
+            children, note = res
+            kids = []
+            for child in children:
+                sub = search(child, budget - 1)
+                if sub is None:
+                    break
+                kids.append(sub)
+            else:
+                return ProofNode(goal, rule, note, tuple(kids))
+        if not applied_any and goal not in dead_ends:
+            dead_ends.append(goal)
+        return None
+
+    tree = search(seq, max_depth)
+    if tree is not None:
+        return tree
+    reason = "depth_exhausted" if state["depth_exhausted"] else "no_applicable_rule"
+    return NotProved(reason, tuple(dead_ends[:16]))
+
+
+O2_GOAL = "H \\/ T |= after[abar](after[abar](fi[A](fi[C](H))))"
+
+
+def shipped_prove_queries():
+    from importlib import resources
+
+    from adjointkit.scenario import instantiate, parse_scenario
+
+    out = []
+    for path in sorted(resources.files("adjointkit").joinpath("scenarios").iterdir()):
+        if path.suffix != ".scn":
+            continue
+        doc = parse_scenario(path.read_text())
+        prove_queries = [q for q in doc.queries if q.kind == "prove"]
+        if not prove_queries:
+            continue
+        assumptions = instantiate(doc).assumptions
+        for q in prove_queries:
+            depth = q.depth or DEFAULT_MAX_DEPTH
+            out.append((f"{doc.name}:{q.id}", Sequent(q.lhs, q.rhs), assumptions, depth))
+    return out
+
+
+@pytest.mark.parametrize("model_builder", [honest_coin_model, lying_coin_model])
+def test_tabled_search_equals_the_reference_on_the_fuzz_corpus(model_builder):
+    _, assumptions, goals = fuzz_corpus(model_builder)
+    for goal in goals:
+        assert prove(goal, assumptions, 12) == reference_prove(goal, assumptions, 12), (
+            goal.render()
+        )
+
+
+@pytest.mark.parametrize("no_kernel_shortcut", [False, True])
+def test_tabled_search_equals_the_reference_on_the_shipped_scenarios(no_kernel_shortcut):
+    queries = shipped_prove_queries()
+    assert len(queries) == 9
+    for name, seq, assumptions, depth in queries:
+        got = prove(seq, assumptions, depth, no_kernel_shortcut=no_kernel_shortcut)
+        want = reference_prove(seq, assumptions, depth, no_kernel_shortcut=no_kernel_shortcut)
+        assert got == want, name
+
+
+@pytest.mark.parametrize("depth", [8, 10, 12])
+def test_tabled_search_equals_the_reference_on_the_nested_goal(depth):
+    goal = parse_entailment(O2_GOAL)
+    got = prove(goal, lying_assumptions(), depth)
+    assert isinstance(got, NotProved)
+    assert got == reference_prove(goal, lying_assumptions(), depth)
+
+
+def test_tabled_search_expands_each_goal_once_per_budget(monkeypatch):
+    # untabled, this goal takes 124,835 rule applications at depth 12
+    calls = 0
+    apply_rule = derivation.apply_rule
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return apply_rule(*args)
+
+    monkeypatch.setattr(derivation, "apply_rule", counted)
+    outcome = prove(parse_entailment(O2_GOAL), lying_assumptions(), 12)
+    assert isinstance(outcome, NotProved)
+    assert calls <= 11_000
