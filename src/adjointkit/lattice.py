@@ -1,14 +1,38 @@
 """Finite complete lattices with precomputed order, join and meet tables.
 
-A lattice is built once, validated eagerly (poset laws, existence of all
-binary joins/meets, distributivity / Boolean classification) and is then
-immutable: every downstream operation is a table lookup, which keeps the
-exhaustive axiom checks elsewhere in the package cheap. Arrays are marked
-read-only, so concurrent readers are safe.
+A lattice is built once, validated eagerly and is then immutable: every
+downstream operation is a table lookup, which keeps the exhaustive axiom
+checks elsewhere in the package cheap. Arrays are marked read-only, so
+concurrent readers are safe.
+
+Construction runs these checks and analyses, each as a few whole-table
+numpy passes:
+
+- Poset: the order table is reflexive, antisymmetric and transitive
+  (up(k) lies inside up(i) whenever i <= k, compared on bit-packed rows).
+- Lattice: every pair has a join and a meet. k is the join of i and j iff k
+  is an upper bound of both and |up(k)| = |ub(i, j)|, because up(k) is
+  contained in ub(i, j) for every upper bound k, so equal sizes mean k lies
+  below all of them. The meet is the dual. On a powerset the element index
+  is the subset bitmask, so join and meet are bitwise or and and.
+- Join-irreducibles: the non-bottom elements that are not the join of two
+  strictly smaller ones, read off the join table.
+- Distributivity: a finite lattice is distributive iff every
+  join-irreducible e is join-prime (e <= x \\/ y implies e <= x or e <= y).
+  In a distributive lattice irreducibles are prime; conversely, if they all
+  are, x -> {e irreducible : e <= x} embeds the lattice into a powerset.
+  This is the core of Birkhoff's representation theorem for finite
+  distributive lattices (Davey & Priestley, Introduction to Lattices and
+  Order, 2nd ed., 2002).
+- Complements, in a distributive lattice: the unique y with x /\\ y = bottom
+  and x \\/ y = top; the lattice is Boolean when every element has one.
+- Height: the longest chain counted in covers, found by peeling off the
+  minimal elements until none are left (Mirsky's theorem).
 
 The element cap defaults to 256 (a 2^16-cell order table) and can be raised
-with the ADJOINT_KIT_MAX_LATTICE environment variable. The powerset builder
-additionally refuses more than 16 worlds outright.
+with the ADJOINT_KIT_MAX_LATTICE environment variable; it is checked before
+any table is allocated. The powerset builder additionally refuses more than
+16 worlds outright.
 """
 
 from __future__ import annotations
@@ -76,13 +100,9 @@ class FiniteLattice:
 
     def __init__(self, names: Sequence[str], leq: np.ndarray, *, worlds=None):
         n = len(names)
-        if n == 0:
-            raise NotALattice("a lattice needs at least one element")
         if len(set(names)) != n:
             raise NotAPoset("element names must be distinct")
-        cap = max_elements()
-        if n > cap:
-            raise LatticeTooLarge(f"{n} elements exceeds the cap of {cap}")
+        _check_count(n)
         leq = np.array(leq, dtype=bool)
         if leq.shape != (n, n):
             raise NotAPoset(f"order table must be {n}x{n}, got {leq.shape}")
@@ -92,6 +112,7 @@ class FiniteLattice:
         self.elements: tuple[Element, ...] = tuple(
             Element(i, names[i], self.uid) for i in range(n)
         )
+        self._by_name = {e.name: e for e in self.elements}
         self.n = n
         self.leq = leq
         self.leq.flags.writeable = False
@@ -108,12 +129,12 @@ class FiniteLattice:
         self.bottom = self.elements[bottom_idx]
         self.top = self.elements[top_idx]
 
+        self._irreducibles = self._compute_join_irreducibles()
         self.is_distributive = self._check_distributive()
         self._complements = self._complement_table() if self.is_distributive else None
         self.is_boolean = (
             self._complements is not None and all(c is not None for c in self._complements)
         )
-        self._irreducibles = self._compute_join_irreducibles()
         self.height = self._compute_height()
 
     # -- basic queries ---------------------------------------------------
@@ -127,9 +148,6 @@ class FiniteLattice:
     def element(self, name: str) -> Element:
         try:
             return self._by_name[name]
-        except AttributeError:
-            self._by_name = {e.name: e for e in self.elements}
-            return self.element(name)
         except KeyError:
             raise ForeignElement(f"no element named {name!r}")
 
@@ -206,52 +224,52 @@ class FiniteLattice:
     # -- construction-time analysis ---------------------------------------
 
     def _check_distributive(self) -> bool:
-        jt, mt = self.join_table, self.meet_table
-        for x in range(self.n):
-            mx = mt[x]
-            lhs = mx[jt]                       # x /\ (y \/ z)
-            rhs = jt[np.ix_(mx, mx)]           # (x /\ y) \/ (x /\ z)
-            if not np.array_equal(lhs, rhs):
+        # Birkhoff: distributive iff every join-irreducible e is join-prime,
+        # i.e. e <= x \/ y exactly when e <= x or e <= y.
+        for e in self._irreducibles:
+            up = self.leq[e.index]
+            if not np.array_equal(up[self.join_table], up[:, None] | up[None, :]):
                 return False
         return True
 
     def _complement_table(self):
         # In a distributive lattice complements are unique when they exist.
-        bot, top = self.bottom.index, self.top.index
-        comps = []
-        for x in range(self.n):
-            ys = np.where((self.meet_table[x] == bot) & (self.join_table[x] == top))[0]
-            comps.append(int(ys[0]) if len(ys) else None)
-        return comps
+        is_comp = (self.meet_table == self.bottom.index) & (self.join_table == self.top.index)
+        first = is_comp.argmax(axis=1)
+        return [int(y) if is_comp[x, y] else None for x, y in enumerate(first)]
 
     def _compute_join_irreducibles(self):
-        # In a finite lattice, x is join-irreducible iff the join of the
-        # elements strictly below x is not x itself (and x != bottom).
-        out = []
-        for x in range(self.n):
-            if x == self.bottom.index:
-                continue
-            below = [i for i in np.where(self.leq[:, x])[0] if i != x]
-            acc = self.bottom.index
-            for i in below:
-                acc = self.join_table[acc, i]
-            if acc != x:
-                out.append(self.elements[x])
-        return tuple(out)
+        # x is join-reducible iff x = y \/ z with y, z strictly below x, i.e.
+        # iff x is in the join table at a pair that does not contain x.
+        jt = self.join_table
+        idx = np.arange(self.n)
+        reducible = np.zeros(self.n, dtype=bool)
+        reducible[jt[(jt != idx[:, None]) & (jt != idx[None, :])]] = True
+        reducible[self.bottom.index] = True
+        return tuple(self.elements[i] for i in np.flatnonzero(~reducible))
 
     def _compute_height(self) -> int:
-        # Longest chain length measured in covers, via DP in order of
-        # how many elements sit below each element.
-        order = sorted(range(self.n), key=lambda i: int(self.leq[:, i].sum()))
-        depth = [0] * self.n
-        for i in order:
-            below = [j for j in np.where(self.leq[:, i])[0] if j != i]
-            depth[i] = 1 + max((depth[j] for j in below), default=-1)
-        return max(depth)
+        # Longest chain length measured in covers: by Mirsky's theorem the
+        # longest chain has as many elements as there are rounds of removing
+        # the minimal elements of what is left.
+        strict = self.leq & ~np.eye(self.n, dtype=bool)
+        left = np.ones(self.n, dtype=bool)
+        rounds = 0
+        while left.any():
+            left &= strict[left].any(axis=0)
+            rounds += 1
+        return rounds - 1
+
+
+def _check_count(n):
+    if n == 0:
+        raise NotALattice("a lattice needs at least one element")
+    cap = max_elements()
+    if n > cap:
+        raise LatticeTooLarge(f"{n} elements exceeds the cap of {cap}")
 
 
 def _check_poset(names, leq):
-    n = len(names)
     if not leq.diagonal().all():
         i = int(np.where(~leq.diagonal())[0][0])
         raise NotAPoset(f"order not reflexive at {names[i]!r}")
@@ -260,10 +278,35 @@ def _check_poset(names, leq):
     if both.any():
         i, j = (int(k) for k in np.argwhere(both)[0])
         raise NotAPoset(f"antisymmetry violated between {names[i]!r} and {names[j]!r}")
-    closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-    if (closure & ~leq).any():
-        i, j = (int(k) for k in np.argwhere(closure & ~leq)[0])
+    # Transitive iff up(k) lies inside up(i) whenever i <= k: one gather of
+    # bit-packed rows over the pairs of the order.
+    rows = np.packbits(leq, axis=1)
+    below, above = np.nonzero(leq)
+    if (rows[above] & ~rows[below]).any():
+        # numpy's bool matmul is the exact boolean product
+        i, j = (int(k) for k in np.argwhere((leq @ leq) & ~leq)[0])
         raise NotAPoset(f"order not transitive: missing {names[i]!r} <= {names[j]!r}")
+
+
+def _least_bounds(leq):
+    """For each pair (i, j), the least k with leq[i, k] and leq[j, k], and a
+    mask of the pairs that have one.
+
+    Columns go in a linear extension (larger up-sets first), so the first
+    common bound of i and j is a minimal one. It is the least one iff its own
+    up-set, which lies inside the common bounds, is as large as they are.
+    """
+    n_up = leq.sum(axis=1)
+    order = np.argsort(-n_up)
+    up, n_up = leq[:, order], n_up[order]
+    least = np.empty(leq.shape, dtype=np.intp)
+    found = np.empty(leq.shape, dtype=bool)
+    for i in range(len(leq)):
+        common = up[i] & up
+        first = common.argmax(axis=1)
+        found[i] = np.count_nonzero(common, axis=1) == n_up[first]
+        least[i] = order[first]
+    return least, found
 
 
 def _bound_tables(names, leq, worlds):
@@ -274,28 +317,27 @@ def _bound_tables(names, leq, worlds):
         idx = np.arange(n)
         return (idx[:, None] | idx[None, :]), (idx[:, None] & idx[None, :])
 
-    join = np.empty((n, n), dtype=np.intp)
-    meet = np.empty((n, n), dtype=np.intp)
-    for i in range(n):
-        for j in range(i, n):
-            ub = leq[i] & leq[j]
-            cands = np.where(ub & (leq | ~ub[None, :]).all(axis=1))[0]
-            if len(cands) != 1:
-                raise NotALattice(
-                    f"pair ({names[i]!r}, {names[j]!r}) has no join",
-                    pair=(names[i], names[j]),
-                )
-            join[i, j] = join[j, i] = cands[0]
-
-            lb = leq[:, i] & leq[:, j]
-            cands = np.where(lb & (leq.T | ~lb[None, :]).all(axis=1))[0]
-            if len(cands) != 1:
-                raise NotALattice(
-                    f"pair ({names[i]!r}, {names[j]!r}) has no meet",
-                    pair=(names[i], names[j]),
-                )
-            meet[i, j] = meet[j, i] = cands[0]
+    join, has_join = _least_bounds(leq)
+    meet, has_meet = _least_bounds(leq.T)
+    # Report the first failing pair in row order, its join before its meet:
+    # the order in which a pair-by-pair scan meets them. The mask is
+    # symmetric, so that pair has i <= j.
+    bad = ~(has_join & has_meet)
+    if bad.any():
+        i, j = (int(k) for k in np.argwhere(bad)[0])
+        kind = "meet" if has_join[i, j] else "join"
+        raise NotALattice(
+            f"pair ({names[i]!r}, {names[j]!r}) has no {kind}",
+            pair=(names[i], names[j]),
+        )
     return join, meet
+
+
+def _transitive_closure(leq):
+    """Transitive closure of a boolean table, in place (Warshall)."""
+    for k in range(len(leq)):
+        leq[leq[:, k]] |= leq[k]
+    return leq
 
 
 def build_from_order(labels: Sequence[str], leq_pairs: Iterable[tuple[str, str]]) -> FiniteLattice:
@@ -305,19 +347,18 @@ def build_from_order(labels: Sequence[str], leq_pairs: Iterable[tuple[str, str]]
     pos = {lab: i for i, lab in enumerate(labels)}
     if len(pos) != len(labels):
         raise NotAPoset("labels must be distinct")
-    n = len(labels)
-    leq = np.eye(n, dtype=bool)
+    pairs = []
     for a, b in leq_pairs:
         if a not in pos or b not in pos:
             raise ForeignElement(f"order pair ({a!r}, {b!r}) uses an unknown label")
-        leq[pos[a], pos[b]] = True
-    # reflexive-transitive closure by repeated squaring
-    while True:
-        closed = ((leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0) | leq
-        if np.array_equal(closed, leq):
-            break
-        leq = closed
-    return FiniteLattice(labels, leq)
+        pairs.append((pos[a], pos[b]))
+    # The cap goes before any n x n table: the closure alone costs ~n^3.
+    n = len(labels)
+    _check_count(n)
+    leq = np.eye(n, dtype=bool)
+    for i, j in pairs:
+        leq[i, j] = True
+    return FiniteLattice(labels, _transitive_closure(leq))
 
 
 def powerset_lattice(worlds: Sequence[str]) -> FiniteLattice:

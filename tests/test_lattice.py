@@ -6,11 +6,13 @@ for Heyting implication) rather than trusting the implementation's path.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from adjointkit import (
+    AdjointKitError,
     ForeignElement,
     LatticeTooLarge,
     NotALattice,
@@ -21,6 +23,8 @@ from adjointkit import (
     build_from_order,
     powerset_lattice,
 )
+from adjointkit import lattice as lattice_mod
+from adjointkit.lattice import FiniteLattice
 from conftest import m3_lattice, n5_lattice, random_lattice
 
 
@@ -116,12 +120,57 @@ def test_powerset_caps():
         powerset_lattice([f"w{i}" for i in range(9)])  # 512 > default cap
 
 
+def m_k(k):
+    """M_k: bot below k pairwise incomparable atoms below top."""
+    atoms = [f"a{i}" for i in range(k)]
+    return ["bot", *atoms, "top"], [("bot", a) for a in atoms] + [(a, "top") for a in atoms]
+
+
+@pytest.mark.parametrize("k", [255, 256])
+def test_large_m_k_is_a_lattice(monkeypatch, k):
+    # bot <= top has k two-step paths: at k = 256 a path count kept in
+    # uint8 wraps to zero, the pair drops out of the closure and the lattice
+    # was rejected as "pair ('bot', 'top') has no join".
+    monkeypatch.setenv("ADJOINT_KIT_MAX_LATTICE", "1000")
+    labels, pairs = m_k(k)
+    lat = build_from_order(labels, pairs)
+    assert lat.n == k + 2
+    assert (lat.bottom.name, lat.top.name) == ("bot", "top")
+    assert lat.leq_(lat.bottom, lat.top)
+    a0, a1 = lat.element("a0"), lat.element(f"a{k - 1}")
+    assert lat.join2(a0, a1) == lat.top and lat.meet2(a0, a1) == lat.bottom
+    assert not lat.is_distributive and not lat.is_boolean
+    assert [e.name for e in lat.join_irreducibles()] == labels[1:-1]
+    assert lat.height == 2
+
+
+def test_order_cap_is_checked_before_the_closure(monkeypatch):
+    def closure(leq):
+        raise AssertionError("closure ran on an order over the element cap")
+
+    monkeypatch.setattr(lattice_mod, "_transitive_closure", closure)
+    labels = [f"c{i}" for i in range(600)]
+    with pytest.raises(LatticeTooLarge, match="^600 elements exceeds the cap of 256$"):
+        build_from_order(labels, zip(labels, labels[1:]))
+    # an unknown label is still reported before the size
+    with pytest.raises(ForeignElement):
+        build_from_order(labels, [("c0", "nowhere")])
+
+
 def test_max_lattice_env_override(monkeypatch):
     monkeypatch.setenv("ADJOINT_KIT_MAX_LATTICE", "4")
     with pytest.raises(LatticeTooLarge):
         powerset_lattice(["a", "b", "c"])
     monkeypatch.setenv("ADJOINT_KIT_MAX_LATTICE", "1024")
     assert powerset_lattice([f"w{i}" for i in range(9)]).n == 512
+
+
+def test_element_lookup_adds_no_state(chain3):
+    before = set(vars(chain3))
+    assert chain3.element("mid").name == "mid"
+    with pytest.raises(ForeignElement):
+        chain3.element("nowhere")
+    assert set(vars(chain3)) == before
 
 
 # -- joins and meets ---------------------------------------------------------------
@@ -258,3 +307,221 @@ def test_order_and_table_laws(seed):
             for z in lat.elements:
                 assert lat.join2(lat.join2(x, y), z) == lat.join2(x, lat.join2(y, z))
                 assert lat.meet2(lat.meet2(x, y), z) == lat.meet2(x, lat.meet2(y, z))
+
+
+# -- differential test against the pair-by-pair construction ------------------
+
+
+def reference_analysis(names, leq):
+    """Construction-time analysis done pair by pair and element by element:
+    the pairwise bound scan, the n-pass distributivity check and the
+    per-element complement, irreducible and height loops that the bulk
+    table passes in lattice.py replaced. Returns what FiniteLattice exposes,
+    or raises what it raises."""
+    n = len(names)
+    if n == 0:
+        raise NotALattice("a lattice needs at least one element")
+    if len(set(names)) != n:
+        raise NotAPoset("element names must be distinct")
+    leq = np.array(leq, dtype=bool)
+    if not leq.diagonal().all():
+        i = int(np.where(~leq.diagonal())[0][0])
+        raise NotAPoset(f"order not reflexive at {names[i]!r}")
+    both = leq & leq.T
+    np.fill_diagonal(both, False)
+    if both.any():
+        i, j = (int(k) for k in np.argwhere(both)[0])
+        raise NotAPoset(f"antisymmetry violated between {names[i]!r} and {names[j]!r}")
+    missing = (leq @ leq) & ~leq
+    if missing.any():
+        i, j = (int(k) for k in np.argwhere(missing)[0])
+        raise NotAPoset(f"order not transitive: missing {names[i]!r} <= {names[j]!r}")
+
+    jt = np.empty((n, n), dtype=np.intp)
+    mt = np.empty((n, n), dtype=np.intp)
+    for i in range(n):
+        for j in range(i, n):
+            ub = leq[i] & leq[j]
+            cands = np.where(ub & (leq | ~ub[None, :]).all(axis=1))[0]
+            if len(cands) != 1:
+                raise NotALattice(
+                    f"pair ({names[i]!r}, {names[j]!r}) has no join",
+                    pair=(names[i], names[j]),
+                )
+            jt[i, j] = jt[j, i] = cands[0]
+            lb = leq[:, i] & leq[:, j]
+            cands = np.where(lb & (leq.T | ~lb[None, :]).all(axis=1))[0]
+            if len(cands) != 1:
+                raise NotALattice(
+                    f"pair ({names[i]!r}, {names[j]!r}) has no meet",
+                    pair=(names[i], names[j]),
+                )
+            mt[i, j] = mt[j, i] = cands[0]
+    bot = int(np.where(leq.all(axis=1))[0][0])
+    top = int(np.where(leq.all(axis=0))[0][0])
+
+    distributive = True
+    for x in range(n):
+        mx = mt[x]
+        if not np.array_equal(mx[jt], jt[np.ix_(mx, mx)]):
+            distributive = False
+            break
+    complements = None
+    if distributive:
+        complements = []
+        for x in range(n):
+            ys = np.where((mt[x] == bot) & (jt[x] == top))[0]
+            complements.append(int(ys[0]) if len(ys) else None)
+
+    irreducibles = []
+    for x in range(n):
+        if x == bot:
+            continue
+        acc = bot
+        for i in np.where(leq[:, x])[0]:
+            if i != x:
+                acc = jt[acc, i]
+        if acc != x:
+            irreducibles.append(x)
+
+    depth = [0] * n
+    for i in sorted(range(n), key=lambda i: int(leq[:, i].sum())):
+        depth[i] = 1 + max((depth[j] for j in np.where(leq[:, i])[0] if j != i), default=-1)
+
+    return {
+        "join": jt.tolist(),
+        "meet": mt.tolist(),
+        "bottom": bot,
+        "top": top,
+        "is_distributive": distributive,
+        "is_boolean": complements is not None and None not in complements,
+        "complements": complements,
+        "irreducibles": irreducibles,
+        "height": max(depth),
+    }
+
+
+def reference_from_order(labels, pairs):
+    labels = list(labels)
+    pos = {lab: i for i, lab in enumerate(labels)}
+    if len(pos) != len(labels):
+        raise NotAPoset("labels must be distinct")
+    leq = np.eye(len(labels), dtype=bool)
+    for a, b in pairs:
+        if a not in pos or b not in pos:
+            raise ForeignElement(f"order pair ({a!r}, {b!r}) uses an unknown label")
+        leq[pos[a], pos[b]] = True
+    while True:
+        closed = leq @ leq
+        if np.array_equal(closed, leq):
+            return reference_analysis(labels, leq)
+        leq = closed
+
+
+def analysis(lat):
+    return {
+        "join": lat.join_table.tolist(),
+        "meet": lat.meet_table.tolist(),
+        "bottom": lat.bottom.index,
+        "top": lat.top.index,
+        "is_distributive": lat.is_distributive,
+        "is_boolean": lat.is_boolean,
+        "complements": lat._complements,
+        "irreducibles": [e.index for e in lat.join_irreducibles()],
+        "height": lat.height,
+    }
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except AdjointKitError as err:
+        return (type(err), str(err), getattr(err, "pair", None))
+
+
+ERROR_KINDS = ("not reflexive", "antisymmetry", "not transitive", "no join", "no meet")
+LATTICE_KINDS = ("boolean", "distributive", "plain lattice")
+
+
+def kind_of(result):
+    if isinstance(result, tuple):
+        return next((k for k in ERROR_KINDS if k in result[1]), result[0].__name__)
+    if result["is_boolean"]:
+        return "boolean"
+    return "distributive" if result["is_distributive"] else "plain lattice"
+
+
+def closed(leq):
+    leq = leq.copy()
+    for k in range(len(leq)):
+        leq[leq[:, k]] |= leq[k]
+    return leq
+
+
+def random_order_table(rng):
+    """A random square bool table, labelled and shuffled: raw relations,
+    posets, bounded posets (often lattices with M3 or N5 inside), bounded
+    posets with one pair dropped, and lattices from the shared generators."""
+    kind = rng.choice(["relation", "poset", "bounded", "dropped", "lattice", "lattice"])
+    if kind == "lattice":
+        lat = random_lattice(rng)
+        leq = np.array(lat.leq)
+    else:
+        n = rng.randint(1, 6) if kind == "relation" else rng.randint(1, 8)
+        p = rng.choice([0.15, 0.3, 0.5])
+        leq = np.eye(n, dtype=bool)
+        for i in range(n):
+            for j in range(n):
+                if (kind == "relation" or i < j) and rng.random() < p:
+                    leq[i, j] = True
+        if kind == "relation" and rng.random() < 0.3:
+            leq[rng.randrange(n), :] = False
+        if kind in ("bounded", "dropped"):
+            n += 2
+            leq = np.pad(leq, 1)
+            leq[0, :] = leq[:, -1] = True
+            leq[-1, -1] = True
+        if kind != "relation":
+            leq = closed(leq)
+        if kind == "dropped":
+            i, j = rng.choice([tuple(map(int, ij)) for ij in np.argwhere(leq) if ij[0] != ij[1]])
+            leq[i, j] = False
+    perm = list(range(len(leq)))
+    rng.shuffle(perm)
+    return [f"e{p}" for p in perm], leq[np.ix_(perm, perm)]
+
+
+def random_order_pairs(rng):
+    """Random labels and order pairs, cycles and unknown labels included."""
+    n = rng.randint(0, 8)
+    labels = [f"v{i}" for i in range(n)]
+    p = rng.choice([0.1, 0.2, 0.35])
+    pairs = [(a, b) for a in labels for b in labels if a != b and rng.random() < p / 2]
+    if n and rng.random() < 0.5:
+        pairs += [("bot", a) for a in labels] + [(a, "top") for a in labels]
+        labels += ["bot", "top"]
+    if rng.random() < 0.05:
+        pairs.append((rng.choice(labels or ["v0"]), "stray"))
+    if rng.random() < 0.05 and labels:
+        labels.append(labels[0])
+    return labels, pairs
+
+
+def test_bulk_analysis_matches_the_pairwise_reference():
+    rng = random.Random(2002)
+    kinds = Counter()
+    for _ in range(500):
+        names, leq = random_order_table(rng)
+        expected = outcome(reference_analysis, names, leq)
+        got = outcome(lambda: analysis(FiniteLattice(names, leq)))
+        assert got == expected, (names, leq.astype(int).tolist())
+        kinds[kind_of(expected)] += 1
+    for _ in range(300):
+        labels, pairs = random_order_pairs(rng)
+        expected = outcome(reference_from_order, labels, pairs)
+        got = outcome(lambda: analysis(build_from_order(labels, pairs)))
+        assert got == expected, (labels, pairs)
+        kinds[kind_of(expected)] += 1
+    print(sorted(kinds.items()))
+    for kind in ERROR_KINDS + LATTICE_KINDS:
+        assert kinds[kind] >= 20, (kind, kinds)
