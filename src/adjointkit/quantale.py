@@ -16,8 +16,11 @@ hopeless already at two generators.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from .errors import GeneratorMismatch, UnknownAction, WordLengthExceeded
 from .dynamics import DynamicAlgebra
@@ -26,6 +29,9 @@ from . import maps
 
 Word = tuple[str, ...]
 QElement = frozenset  # frozenset[Word]
+
+# Most words a quantale may hold; the system checks grow with its square.
+MAX_WORDS = 1024
 
 
 def fmt_word(w: Word) -> str:
@@ -47,6 +53,15 @@ class ActionQuantale:
             raise UnknownAction("a quantale needs at least one generator action")
         if max_word_length < 1:
             raise WordLengthExceeded("max_word_length must be at least 1")
+        count = layer = 1
+        for _ in range(max_word_length):
+            layer *= len(gens)
+            count += layer
+            if count > MAX_WORDS:
+                raise WordLengthExceeded(
+                    f"{len(gens)} generators at word bound {max_word_length} give "
+                    f"more than {MAX_WORDS} words"
+                )
         self.generators = gens
         self.max_word_length = max_word_length
 
@@ -137,6 +152,9 @@ class LawCheck:
 @dataclass(frozen=True)
 class QuantaleReport:
     checks: tuple[LawCheck, ...]
+    # lax epistemic-quantale reports also carry the same laws judged as
+    # non-paranoid equalities, from the same pass over word pairs
+    equalities: QuantaleReport | None = None
 
     @property
     def ok(self) -> bool:
@@ -155,15 +173,33 @@ def _canonical_unions(q: ActionQuantale):
     return fam
 
 
+def _shorter(words: tuple[Word, ...], length: int) -> tuple[Word, ...]:
+    """The words of at most the given length: a prefix, since words() lists
+    shortest first."""
+    return words[:bisect_right(words, length, key=len)]
+
+
+def _composable_pairs(q: ActionQuantale, words: tuple[Word, ...]):
+    """Word pairs whose concatenation stays within the bound, in the order
+    of product(words, repeat=2)."""
+    for w in words:
+        for v in _shorter(words, q.max_word_length - len(w)):
+            yield w, v
+
+
 def check_quantale_laws(q: ActionQuantale) -> QuantaleReport:
     """Associativity, unit laws and distribution of composition over union,
     verified on all word triples within the bound and the canonical unions."""
     checks = []
 
     wit = None
-    for w, v, u in product(q.words(), repeat=3):
-        if len(w) + len(v) + len(u) > q.max_word_length:
-            continue
+    words = q.words()
+    triples = (
+        (w, v, u)
+        for w, v in _composable_pairs(q, words)
+        for u in _shorter(words, q.max_word_length - len(w) - len(v))
+    )
+    for w, v, u in triples:
         a, b, c = (frozenset({x}) for x in (w, v, u))
         if q.compose(q.compose(a, b), c) != q.compose(a, q.compose(b, c)):
             wit = f"({fmt_word(w)}, {fmt_word(v)}, {fmt_word(u)})"
@@ -180,9 +216,7 @@ def check_quantale_laws(q: ActionQuantale) -> QuantaleReport:
     wit = None
     for p in _canonical_unions(q):
         longest = max((len(w) for w in p), default=0)
-        for v in q.words():
-            if longest + len(v) > q.max_word_length:
-                continue
+        for v in _shorter(words, q.max_word_length - longest):
             s = frozenset({v})
             lhs = q.compose(s, p)
             rhs = q.join(*(q.compose(s, frozenset({w})) for w in p)) if p else q.bottom
@@ -209,8 +243,13 @@ def check_epistemic_quantale(
     asserted on the canonical union family. Word pairs whose right-hand
     composition would leave the bounded carrier are skipped (letterwise
     lifts are length-preserving, so nothing is skipped for them).
+
+    Both modes are judged in one pass; a lax report carries the equality
+    verdicts as its `equalities` report.
     """
-    checks = list(check_quantale_laws(q).checks)
+    laws = check_quantale_laws(q).checks
+    lax, equal = [], []
+    words = q.words()
     for agent, lift in lifts.items():
         wit = None
         for p in _canonical_unions(q):
@@ -218,42 +257,43 @@ def check_epistemic_quantale(
             if lift.apply(p) != frozenset().union(*parts):
                 wit = fmt_q(p)
                 break
-        checks.append(LawCheck(f"lift-join-preserving[{agent}]", wit is None, wit))
+        join_row = LawCheck(f"lift-join-preserving[{agent}]", wit is None, wit)
 
         unit_img = lift.apply(q.unit)
-        if non_paranoid:
-            ok = unit_img == q.unit
-        else:
-            ok = q.unit <= unit_img
-        checks.append(
-            LawCheck(
-                f"unit-{'equality' if non_paranoid else 'inclusion'}[{agent}]",
-                ok,
-                None if ok else f"f'({fmt_q(q.unit)}) = {fmt_q(unit_img)}",
-            )
-        )
+        unit_wit = f"f'({fmt_q(q.unit)}) = {fmt_q(unit_img)}"
+        lax_unit = q.unit <= unit_img
+        equal_unit = unit_img == q.unit
 
-        wit = None
-        for w, v in product(q.words(), repeat=2):
-            if len(w) + len(v) > q.max_word_length:
-                continue
+        # every lax failure is also an equality failure, so the pass can
+        # stop at the first lax one
+        lax_wit = equal_wit = None
+        for w, v in _composable_pairs(q, words):
             lhs = lift.apply(frozenset({w + v}))
             try:
                 rhs = q.compose(lift.apply(frozenset({w})), lift.apply(frozenset({v})))
             except WordLengthExceeded:
                 continue
-            ok = lhs == rhs if non_paranoid else lhs <= rhs
-            if not ok:
+            if lhs != rhs:
                 wit = f"f'({fmt_word(w)} . {fmt_word(v)}) = {fmt_q(lhs)} vs {fmt_q(rhs)}"
-                break
-        checks.append(
-            LawCheck(
-                f"compose-{'equality' if non_paranoid else 'lax'}[{agent}]",
-                wit is None,
-                wit,
-            )
-        )
-    return QuantaleReport(tuple(checks))
+                equal_wit = equal_wit or wit
+                if not lhs <= rhs:
+                    lax_wit = wit
+                    break
+
+        lax += [
+            join_row,
+            LawCheck(f"unit-inclusion[{agent}]", lax_unit, None if lax_unit else unit_wit),
+            LawCheck(f"compose-lax[{agent}]", lax_wit is None, lax_wit),
+        ]
+        equal += [
+            join_row,
+            LawCheck(f"unit-equality[{agent}]", equal_unit, None if equal_unit else unit_wit),
+            LawCheck(f"compose-equality[{agent}]", equal_wit is None, equal_wit),
+        ]
+    equalities = QuantaleReport(laws + tuple(equal))
+    if non_paranoid:
+        return equalities
+    return QuantaleReport(laws + tuple(lax), equalities)
 
 
 class EpistemicSystemView:
@@ -310,6 +350,12 @@ def binary_to_indexed(view: EpistemicSystemView) -> DynamicAlgebra:
     )
 
 
+def _first(bad: np.ndarray):
+    """Position of the first True cell in row-major order, or None."""
+    hits = np.flatnonzero(bad)
+    return np.unravel_index(hits[0], bad.shape) if hits.size else None
+
+
 def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False) -> QuantaleReport:
     """Module laws of the epistemic system plus the underlying axioms.
 
@@ -317,63 +363,68 @@ def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False
     h(l, w.v) = h(h(l, w), v) on all composable word pairs, the lifted
     no-miracle inequality f_A h(l, w) <= h(f_A(l), f'_A(w)), and folds in
     the epistemic-quantale report. A full pass certifies the pair.
+
+    Each law is judged for every element at once on the word maps' image
+    tables, with the same verdicts and first witnesses as a loop over act.
     """
     alg, q, lat = view.algebra, view.quantale, view.lattice
-    checks = list(check_epistemic_quantale(q, view.lifts, non_paranoid).checks)
+    quantale_report = check_epistemic_quantale(q, view.lifts, non_paranoid)
+    checks = list(quantale_report.checks)
 
-    wit = None
-    for e in lat.elements:
-        if view.act(e, q.unit) != e:
-            wit = e.name
-            break
+    words = q.words()
+    row = {w: i for i, w in enumerate(view.word_maps)}
+    tables = np.array([m.table for m in view.word_maps.values()], dtype=np.intp)
+    names = [e.name for e in lat.elements]
+    bottom = np.full(lat.n, lat.bottom.index, dtype=np.intp)
+
+    def join_all(columns):
+        out = bottom
+        for col in columns:
+            out = lat.join_table[out, col]
+        return out
+
+    def act(p):
+        """h(l, p) for every l, as an index column."""
+        return join_all(tables[row[w]] for w in p)
+
+    hit = _first(act(q.unit) != np.arange(lat.n))
+    wit = None if hit is None else names[hit[0]]
     checks.append(LawCheck("act-unit", wit is None, wit))
 
+    # column 0 is h(l, 0) = bottom, then one column per canonical union
+    unions = _canonical_unions(q)
+    lhs = np.stack([act(q.bottom)] + [act(p) for p in unions], axis=1)
+    rhs = np.stack([bottom] + [join_all(act(frozenset({w})) for w in p) for p in unions], axis=1)
+    hit = _first(lhs != rhs)
     wit = None
-    elements_sample = _canonical_unions(q)
-    for e in lat.elements:
-        if view.act(e, q.bottom) != lat.bottom:
-            wit = f"h({e.name}, 0)"
-            break
-        for p in elements_sample:
-            parts = [view.act(e, frozenset({w})) for w in p]
-            if view.act(e, p) != lat.join(parts):
-                wit = f"h({e.name}, {fmt_q(p)})"
-                break
-        if wit:
-            break
+    if hit is not None:
+        e, k = hit
+        wit = f"h({names[e]}, 0)" if k == 0 else f"h({names[e]}, {fmt_q(unions[k - 1])})"
     checks.append(LawCheck("act-join-law", wit is None, wit))
 
+    pairs = list(_composable_pairs(q, words))
+    w_rows, v_rows, wv_rows = (
+        np.array(rows, dtype=np.intp)
+        for rows in zip(*((row[w], row[v], row[w + v]) for w, v in pairs))
+    )
+    step = tables[v_rows[:, None], tables[w_rows]]   # h(h(l, w), v)
+    hit = _first(step != tables[wv_rows])
     wit = None
-    for w, v in product(q.words(), repeat=2):
-        if len(w) + len(v) > q.max_word_length:
-            continue
-        for e in lat.elements:
-            step = view.act(view.act(e, frozenset({w})), frozenset({v}))
-            direct = view.act(e, frozenset({w + v}))
-            if step != direct:
-                wit = f"h({e.name}, {fmt_word(w)}.{fmt_word(v)})"
-                break
-        if wit:
-            break
+    if hit is not None:
+        (w, v), e = pairs[hit[0]], hit[1]
+        wit = f"h({names[e]}, {fmt_word(w)}.{fmt_word(v)})"
     checks.append(LawCheck("act-composition", wit is None, wit))
 
     wit = None
     for agent in alg.mama.agents:
-        f = alg.mama.appearance_map(agent)
+        f = np.array(alg.mama.appearance_map(agent).table, dtype=np.intp)
         lift = view.lifts[agent]
-        for w in q.words():
-            seen = lift.apply(frozenset({w}))
-            for e in lat.elements:
-                lhs = f(view.act(e, frozenset({w})))
-                rhs = view.act(f(e), seen)
-                ok = lhs == rhs if non_paranoid else lat.leq_(lhs, rhs)
-                if not ok:
-                    wit = f"agent {agent}, word {fmt_word(w)}, at {e.name}"
-                    break
-            if wit:
-                break
-        if wit:
+        lhs = f[tables[[row[w] for w in words]]]
+        rhs = np.stack([act(lift.apply(frozenset({w})))[f] for w in words])
+        hit = _first(lhs != rhs if non_paranoid else ~lat.leq[lhs, rhs])
+        if hit is not None:
+            wit = f"agent {agent}, word {fmt_word(words[hit[0]])}, at {names[hit[1]]}"
             break
     checks.append(LawCheck("lifted-no-miracle", wit is None, wit))
 
-    return QuantaleReport(tuple(checks))
+    return QuantaleReport(tuple(checks), quantale_report.equalities)

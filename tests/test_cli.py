@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from adjointkit import derivation
+from adjointkit import cli, derivation, quantale
 from adjointkit.cli import main
 from adjointkit.derivation import KERNEL_DISCHARGE, ORDER_AXIOM, ProofNode
 from adjointkit.terms import parse_entailment
@@ -29,9 +29,39 @@ def test_run_json_schema(capsys):
     assert data["schema_version"] == 1
     assert data["scenario"] == "coin-honest"
     assert {"verdicts", "axioms", "timings", "exit_code"} <= set(data)
+    assert set(data["timings"]) == {"parse", "build", "axioms", "queries"}
     assert all({"id", "kind", "ok", "detail"} <= set(v) for v in data["verdicts"])
     proofs = [v["proof"] for v in data["verdicts"] if "proof" in v]
     assert proofs and {"goal", "rule", "children"} <= set(proofs[0])
+
+
+def test_one_axiom_pass_per_run(monkeypatch, capsys):
+    calls = []
+    original = cli._axiom_checks
+
+    def counted(inst, flags):
+        calls.append(inst.doc.name)
+        return original(inst, flags)
+
+    monkeypatch.setattr(cli, "_axiom_checks", counted)
+    path = fixture_path("coin-lying-model.scn")
+    assert main(["run", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [v["kind"] for v in data["verdicts"]].count("validate-axioms") == 1
+    assert calls == ["coin-lying-model"]
+    # a single validate-axioms query runs the pass on demand
+    query_id = next(v["id"] for v in data["verdicts"] if v["kind"] == "validate-axioms")
+    assert main(["query", path, query_id]) == 0
+    assert calls == ["coin-lying-model"] * 2
+
+
+def test_word_bound_over_the_cap_exits_two(monkeypatch, capsys):
+    def no_words(self):
+        raise AssertionError("words() called before the cap was checked")
+
+    monkeypatch.setattr(quantale.ActionQuantale, "words", no_words)
+    assert main(["validate", fixture_path("coin-lying-model.scn"), "--word-bound", "64"]) == 2
+    assert "WordLengthExceeded" in capsys.readouterr().err
 
 
 def test_json_and_human_verdicts_agree(capsys):

@@ -1,5 +1,9 @@
 """Bounded word quantale, appearance lifts, and the epistemic-system view."""
 
+import random
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from adjointkit import (
@@ -18,7 +22,14 @@ from adjointkit import (
     lift_action_appearance,
     powerset_lattice,
 )
-from adjointkit.quantale import EpistemicSystemView
+from adjointkit.maps import LatticeMap
+from adjointkit.quantale import (
+    EpistemicSystemView,
+    LawCheck,
+    _canonical_unions,
+    fmt_q,
+    fmt_word,
+)
 from conftest import honest_coin_model
 
 
@@ -201,3 +212,248 @@ def test_corrupted_act_caught():
     report = check_epistemic_system(bad)
     assert not report.ok
     assert any(c.name == "act-composition" for c in report.failures())
+
+
+# -- word cap ----------------------------------------------------------------------
+
+
+def test_word_cap_is_checked_before_any_word_is_listed(monkeypatch):
+    def no_words(self):
+        raise AssertionError("words() called before the cap was checked")
+
+    monkeypatch.setattr(ActionQuantale, "words", no_words)
+    with pytest.raises(WordLengthExceeded, match="more than 1024 words"):
+        ActionQuantale(["a", "abar"], 64)
+    with pytest.raises(WordLengthExceeded):
+        ActionQuantale(["a", "abar"], 10)   # 2,047 words
+    with pytest.raises(WordLengthExceeded):
+        ActionQuantale(["a"], 1024)         # 1,025 words
+    ActionQuantale(["a"], 1023)             # 1,024 words
+
+
+def test_word_cap_admits_two_generators_at_bound_nine():
+    q = ActionQuantale(["a", "abar"], 9)
+    assert len(q.words()) == 1023
+
+
+# -- free-monoid laws --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("generators, bound", [
+    (["a"], 5), (["a", "b"], 3), (["a", "b", "c"], 2), (["a", "b", "c"], 3), (["a", "b"], 1),
+])
+def test_free_monoid_laws_on_composable_triples(generators, bound):
+    """Concatenation of bounded words is associative, has the empty word as
+    unit and distributes over union, on every triple that stays in bounds;
+    check_quantale_laws reports exactly that."""
+    q = ActionQuantale(generators, bound)
+    words = q.words()
+    triples = [(w, v, u) for w in words for v in words for u in words
+               if len(w) + len(v) + len(u) <= bound]
+    assert triples
+    for w, v, u in triples:
+        a, b, c = (frozenset({x}) for x in (w, v, u))
+        assert q.compose(q.compose(a, b), c) == q.compose(a, q.compose(b, c)) == {w + v + u}
+        assert q.compose(q.unit, a) == a == q.compose(a, q.unit)
+        assert q.compose(a, q.join(b, c)) == q.join(q.compose(a, b), q.compose(a, c))
+        assert q.compose(q.join(a, b), c) == q.join(q.compose(a, c), q.compose(b, c))
+    report = check_quantale_laws(q)
+    assert [(c.name, c.ok, c.witness) for c in report.checks] == [
+        ("compose-associative", True, None),
+        ("unit-law", True, None),
+        ("compose-distributes-over-union", True, None),
+    ]
+
+
+# -- table-based system laws against the act loops ---------------------------------
+
+
+def reference_epistemic_quantale(q, lifts, non_paranoid=False):
+    """check_epistemic_quantale as one loop per mode, judged through apply."""
+    checks = list(check_quantale_laws(q).checks)
+    for agent, lift in lifts.items():
+        wit = None
+        for p in _canonical_unions(q):
+            parts = [lift.apply(frozenset({w})) for w in p]
+            if lift.apply(p) != frozenset().union(*parts):
+                wit = fmt_q(p)
+                break
+        checks.append(LawCheck(f"lift-join-preserving[{agent}]", wit is None, wit))
+
+        unit_img = lift.apply(q.unit)
+        ok = unit_img == q.unit if non_paranoid else q.unit <= unit_img
+        checks.append(LawCheck(
+            f"unit-{'equality' if non_paranoid else 'inclusion'}[{agent}]",
+            ok, None if ok else f"f'({fmt_q(q.unit)}) = {fmt_q(unit_img)}",
+        ))
+
+        wit = None
+        for w, v in product(q.words(), repeat=2):
+            if len(w) + len(v) > q.max_word_length:
+                continue
+            lhs = lift.apply(frozenset({w + v}))
+            try:
+                rhs = q.compose(lift.apply(frozenset({w})), lift.apply(frozenset({v})))
+            except WordLengthExceeded:
+                continue
+            if not (lhs == rhs if non_paranoid else lhs <= rhs):
+                wit = f"f'({fmt_word(w)} . {fmt_word(v)}) = {fmt_q(lhs)} vs {fmt_q(rhs)}"
+                break
+        checks.append(LawCheck(
+            f"compose-{'equality' if non_paranoid else 'lax'}[{agent}]", wit is None, wit,
+        ))
+    return tuple(checks)
+
+
+def reference_epistemic_system(view, non_paranoid=False):
+    """check_epistemic_system as element loops over view.act."""
+    alg, q, lat = view.algebra, view.quantale, view.lattice
+    checks = list(reference_epistemic_quantale(q, view.lifts, non_paranoid))
+
+    wit = None
+    for e in lat.elements:
+        if view.act(e, q.unit) != e:
+            wit = e.name
+            break
+    checks.append(LawCheck("act-unit", wit is None, wit))
+
+    wit = None
+    for e in lat.elements:
+        if view.act(e, q.bottom) != lat.bottom:
+            wit = f"h({e.name}, 0)"
+            break
+        for p in _canonical_unions(q):
+            if view.act(e, p) != lat.join([view.act(e, frozenset({w})) for w in p]):
+                wit = f"h({e.name}, {fmt_q(p)})"
+                break
+        if wit:
+            break
+    checks.append(LawCheck("act-join-law", wit is None, wit))
+
+    wit = None
+    for w, v in product(q.words(), repeat=2):
+        if len(w) + len(v) > q.max_word_length:
+            continue
+        for e in lat.elements:
+            step = view.act(view.act(e, frozenset({w})), frozenset({v}))
+            if step != view.act(e, frozenset({w + v})):
+                wit = f"h({e.name}, {fmt_word(w)}.{fmt_word(v)})"
+                break
+        if wit:
+            break
+    checks.append(LawCheck("act-composition", wit is None, wit))
+
+    wit = None
+    for agent in alg.mama.agents:
+        f = alg.mama.appearance_map(agent)
+        seen_of = view.lifts[agent]
+        for w in q.words():
+            seen = seen_of.apply(frozenset({w}))
+            for e in lat.elements:
+                lhs = f(view.act(e, frozenset({w})))
+                rhs = view.act(f(e), seen)
+                if not (lhs == rhs if non_paranoid else lat.leq_(lhs, rhs)):
+                    wit = f"agent {agent}, word {fmt_word(w)}, at {e.name}"
+                    break
+            if wit:
+                break
+        if wit:
+            break
+    checks.append(LawCheck("lifted-no-miracle", wit is None, wit))
+    return tuple(checks)
+
+
+def random_product_update(rng):
+    """A product-update model (Baltag, Moss and Solecki): every action runs
+    in one static state s and leads to the post world (s, a); an agent who
+    sees s -> R(s) sees (s, a) -> (t, b) for b its appearance of a and t in
+    R(s) where b runs. No-miracle holds world by world."""
+    states = [f"s{k}" for k in range(rng.randint(1, 2))]
+    actions = [f"a{k}" for k in range(rng.randint(1, 2))]
+    agents = ["A", "B", "C"][:rng.randint(1, 3)]
+    pre = {a: rng.choice(states) for a in actions}
+    post = {a: f"{pre[a]}{a}" for a in actions}
+    lat = powerset_lattice(states + [post[a] for a in actions])
+    s = lat.subset
+    sees = {A: {t: rng.sample(states, rng.randint(1, len(states))) for t in states}
+            for A in agents}
+    appears = {A: {a: rng.choice(actions) for a in actions} for A in agents}
+    appearance = {}
+    for A in agents:
+        gens = {s([t]): s(sees[A][t]) for t in states}
+        for a in actions:
+            b = appears[A][a]
+            gens[s([post[a]])] = s([post[b]] if pre[b] in sees[A][pre[a]] else [])
+        appearance[A] = gens
+    updates = {
+        a: {**{s([t]): s([post[a]] if t == pre[a] else []) for t in states},
+            **{s([post[b]]): lat.bottom for b in actions}}
+        for a in actions
+    }
+    return build_dynamic_algebra(build_mama(lat, appearance), actions, updates, appears)
+
+
+def random_informed_model(rng):
+    """Random update maps that need not commute, watched by agents who see
+    every world as it is, so no-miracle holds whatever the updates do."""
+    worlds = [f"w{k}" for k in range(rng.randint(2, 3))]
+    lat = powerset_lattice(worlds)
+    s = lat.subset
+    actions = [f"a{k}" for k in range(rng.randint(1, 2))]
+    updates = {a: {s([w]): s(rng.sample(worlds, rng.randint(0, 2))) for w in worlds}
+               for a in actions}
+    agents = {A: {s([w]): s([w]) for w in worlds} for A in ["A", "B"][:rng.randint(1, 2)]}
+    return build_dynamic_algebra(build_mama(lat, agents), actions, updates)
+
+
+def corrupt_view(rng, alg, q):
+    """The system view of alg, with some word maps or word lifts replaced."""
+    view = indexed_to_binary(alg, q)
+    words = q.words()
+    word_maps, lifts = dict(view.word_maps), dict(view.lifts)
+    kind = rng.choice(["none", "maps", "lifts", "both"])
+    if kind in ("maps", "both"):
+        for _ in range(rng.randint(1, 2)):
+            w = () if rng.random() < 0.25 else rng.choice(words)
+            if rng.random() < 0.5:
+                word_maps[w] = word_maps[rng.choice(words)]
+            else:
+                word_maps[w] = LatticeMap(alg.lattice, [rng.randrange(alg.lattice.n)
+                                                        for _ in range(alg.lattice.n)])
+    if kind in ("lifts", "both"):
+        for _ in range(rng.randint(1, 2)):
+            agent = rng.choice(sorted(lifts))
+            images = dict(lifts[agent].word_images)
+            w = () if rng.random() < 0.25 else rng.choice(words)
+            images[w] = frozenset(rng.sample(words, rng.randint(0, 2)))
+            lifts[agent] = QuantaleLift(q, images)
+    return EpistemicSystemView(alg, q, lifts=lifts, word_maps=word_maps)
+
+
+def test_table_checks_match_the_act_loops():
+    rng = random.Random(20261018)
+    failing = Counter()
+    for _ in range(150):
+        alg = rng.choice([random_product_update, random_informed_model])(rng)
+        q = ActionQuantale(alg.actions, rng.randint(1, 3))
+        view = corrupt_view(rng, alg, q)
+        for non_paranoid in (False, True):
+            report = check_epistemic_system(view, non_paranoid)
+            assert report.checks == reference_epistemic_system(view, non_paranoid)
+            quantale_report = check_epistemic_quantale(q, view.lifts, non_paranoid)
+            assert quantale_report.checks == reference_epistemic_quantale(
+                q, view.lifts, non_paranoid)
+            if non_paranoid:
+                assert report.equalities is None
+            else:
+                # the equality verdicts of the non-paranoid-equalities row
+                assert report.equalities.checks == reference_epistemic_quantale(
+                    q, view.lifts, True)
+            failing.update(c.name.split("[")[0] for c in report.failures())
+    for row in ("act-unit", "act-composition", "lifted-no-miracle", "unit-inclusion",
+                "unit-equality", "compose-lax", "compose-equality"):
+        assert failing[row] >= 5, (row, failing)
+    # h(l, -) and f'_A are pointwise extensions of their word images, so these
+    # laws hold by definition, whatever the images are
+    assert not failing.keys() & {"act-join-law", "lift-join-preserving", "compose-associative",
+                                 "unit-law", "compose-distributes-over-union"}
