@@ -239,7 +239,9 @@ def _run_query(inst: Instantiated, q, flags, axioms=None) -> Verdict:
         return Verdict(q.id, q.kind, ok, detail)
 
     if q.kind == "prove":
-        depth = flags.depth or q.depth or derivation.DEFAULT_MAX_DEPTH
+        depth = flags.depth if flags.depth is not None else q.depth
+        if depth is None:
+            depth = derivation.DEFAULT_MAX_DEPTH
         seq = Sequent(q.lhs, q.rhs)
         outcome = derivation.prove(
             seq, inst.assumptions, depth, no_kernel_shortcut=flags.no_kernel_shortcut
@@ -425,6 +427,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
+        if args.depth is not None and args.depth < 1:
+            raise ResolutionError(f"--depth must be at least 1, not {args.depth}")
         if args.command == "tables":
             return _cmd_tables(args.file, args.map_name, args, args.json)
         if args.command == "validate":

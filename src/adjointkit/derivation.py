@@ -12,6 +12,17 @@ so identical inputs produce identical trees. Failed alternatives are
 backtracked; the depth budget strictly decreases along every branch, so
 search always terminates. NotProved is a search verdict, not a refutation.
 
+The rules that rewrite inside a term (ActAppSubst, AppSubst, DefExpand,
+NoMiracle, JoinDistrib) share one top-down walker, _rewrite(t, step,
+first=False), and each supplies only its local step. step(node) returns
+None to descend into the node's subterms, a new term to take the node's
+place without visiting it again, or the node itself to keep the subtree
+unvisited (NoMiracle keeps ~ and B, which are not monotone positions).
+Without first, one call is one simultaneous pass, and redexes that a
+replacement creates wait for the next rule application; with first=True
+the walk stops after the first replacement in pre-order (DefExpand and
+NoMiracle rewrite one node per step).
+
 Within one prove call, search is tabled on the exact key (goal, budget),
 after OLDT resolution (Tamaki & Sato, 1986): each subgoal is expanded once
 per budget, however many alternatives reach it. With the assumptions and
@@ -121,48 +132,49 @@ class BadNode:
     reason: str
 
 
-# -- term rewriting helpers ---------------------------------------------------
+# -- term rewriting -------------------------------------------------------------
+
+# Rebuilds a one-argument node around a new argument. Keyed by exact class:
+# the term classes have no subclasses, so type(t) dispatch is exact.
+_WITH_ARG = {
+    Not: lambda t, arg: Not(arg),
+    App: lambda t, arg: App(t.agent, arg),
+    Info: lambda t, arg: Info(t.agent, arg),
+    Know: lambda t, arg: Know(t.agent, arg),
+    Believe: lambda t, arg: Believe(t.agent, arg),
+    CK: lambda t, arg: CK(t.agents, arg, t.depth),
+    Upd: lambda t, arg: Upd(t.action, arg),
+    After: lambda t, arg: After(t.action, arg),
+}
 
 
-def _rebuild(t, *args):
-    if isinstance(t, (Or, And)):
-        return type(t)(*args)
-    if isinstance(t, Not):
-        return Not(*args)
-    if isinstance(t, (App, Info, Know, Believe)):
-        return type(t)(t.agent, *args)
-    if isinstance(t, CK):
-        return CK(t.agents, args[0], t.depth)
-    if isinstance(t, (Upd, After)):
-        return type(t)(t.action, *args)
-    return t
-
-
-def _subst_appearances(t, defs):
-    """Replace every f[A](atom) with its declared definition, in one
-    simultaneous pass (replacements are not rewritten again)."""
-    hit = False
+def _rewrite(t, step, first=False):
+    """Rewrite t top-down with a rule's local step (the contract is in the
+    module docstring). Untouched subtrees come back as the same objects, so
+    the result is t when nothing was replaced."""
+    done = False
 
     def rec(t):
-        nonlocal hit
-        if isinstance(t, App) and isinstance(t.arg, Atom):
-            key = (t.agent, t.arg.name)
-            if key in defs:
-                hit = True
-                return defs[key], [f"f[{t.agent}]({t.arg.name})"]
-        kids = T.children(t)
-        if not kids:
-            return t, []
-        used = []
-        new_kids = []
-        for k in kids:
-            nk, u = rec(k)
-            new_kids.append(nk)
-            used.extend(u)
-        return (_rebuild(t, *new_kids) if used else t), used
+        nonlocal done
+        new = step(t)
+        if new is not None:
+            if first and new is not t:
+                done = True
+            return new
+        cls = type(t)
+        if cls is Or or cls is And:
+            left = rec(t.left)
+            right = t.right if done else rec(t.right)
+            if left is t.left and right is t.right:
+                return t
+            return cls(left, right)
+        with_arg = _WITH_ARG.get(cls)
+        if with_arg is None:
+            return t
+        arg = rec(t.arg)
+        return t if arg is t.arg else with_arg(t, arg)
 
-    out, used = rec(t)
-    return (out, used) if hit else (None, [])
+    return rec(t)
 
 
 def _resolve_actions(ref, table):
@@ -178,142 +190,80 @@ def _resolve_actions(ref, table):
     return ref, []
 
 
-def _subst_action_refs(t, table):
-    hit = False
+def _act_app_subst(assumptions, used):
+    """Resolve every action position against the declared action appearances."""
+    table = assumptions.action_appearance
 
-    def rec(t):
-        nonlocal hit
-        if isinstance(t, (Upd, After)):
-            ref, used = _resolve_actions(t.action, table)
-            arg, used2 = rec(t.arg)
-            if used or used2:
-                hit = True
-                return type(t)(ref, arg), used + used2
-            return t, []
-        kids = T.children(t)
-        if not kids:
-            return t, []
-        new_kids, used = [], []
-        for k in kids:
-            nk, u = rec(k)
-            new_kids.append(nk)
-            used.extend(u)
-        return (_rebuild(t, *new_kids) if used else t), used
+    def step(t):
+        cls = type(t)
+        if cls is not Upd and cls is not After:
+            return None
+        ref, cited = _resolve_actions(t.action, table)
+        used.extend(cited)
+        arg = _rewrite(t.arg, step)
+        return cls(ref, arg) if cited or arg is not t.arg else t
 
-    out, used = rec(t)
-    return (out, used) if hit else (None, [])
+    return step
 
 
-def _join_distrib(t):
-    """One parallel pass pushing f[A] / upd[a] through \\/ (and through bot,
-    the empty join); newly created redexes wait for the next pass."""
-    hit = False
+def _app_subst(assumptions, used):
+    """Replace every f[A](atom) with its declared definition."""
+    defs = assumptions.appearance_defs
 
-    def walk(t):
-        nonlocal hit
-        if isinstance(t, (App, Upd)):
-            if isinstance(t.arg, Or):
-                hit = True
-                left = _mk_modal(t, t.arg.left)
-                right = _mk_modal(t, t.arg.right)
-                return Or(left, right)
-            if isinstance(t.arg, Bot):
-                hit = True
-                return Bot()
-        kids = T.children(t)
-        if not kids:
-            return t
-        return _rebuild(t, *(walk(k) for k in kids))
+    def step(t):
+        if type(t) is App and type(t.arg) is Atom:
+            key = (t.agent, t.arg.name)
+            if key in defs:
+                used.append(f"f[{t.agent}]({t.arg.name})")
+                return defs[key]
+        return None
 
-    out = walk(t)
-    return out if hit else None
+    return step
 
 
-def _mk_modal(t, arg):
-    if isinstance(t, App):
-        return App(t.agent, arg)
-    return Upd(t.action, arg)
+def _join_distrib(assumptions, used):
+    """Push f[A] / upd[a] through \\/ (and through bot, the empty join)."""
+
+    def step(t):
+        cls = type(t)
+        if cls is App or cls is Upd:
+            arg = t.arg
+            if type(arg) is Or:
+                head = t.agent if cls is App else t.action
+                return Or(cls(head, arg.left), cls(head, arg.right))
+            if type(arg) is Bot:
+                return arg
+        return None
+
+    return step
 
 
-def _find_def_node(t):
-    """First K / B / CK node in pre-order, or None."""
-    if isinstance(t, (Know, Believe)) or (isinstance(t, CK) and t.depth is not None):
-        return t
-    for k in T.children(t):
-        found = _find_def_node(k)
-        if found is not None:
-            return found
+# Rules that rewrite both sides in one simultaneous pass: the step each one
+# builds from the assumptions and a citation list, and its note.
+_PASS_RULES = {
+    ACT_APP_SUBST: (_act_app_subst, "; ".join),
+    APP_SUBST: (_app_subst, lambda used: "substituted " + ", ".join(used)),
+    JOIN_DISTRIB: (_join_distrib, lambda used: "the maps preserve joins"),
+}
+
+
+def _definition(t):
+    """The definition of a K, B or bounded CK node, else None."""
+    cls = type(t)
+    if cls is Know:
+        return And(Info(t.agent, t.arg), t.arg)
+    if cls is Believe:
+        return Not(Know(t.agent, Not(t.arg)))
+    if cls is CK and t.depth is not None:
+        if t.depth == 0:
+            return t.arg
+        inner = CK(t.agents, t.arg, t.depth - 1)
+        conj = None
+        for agent in t.agents:
+            part = Info(agent, inner)
+            conj = part if conj is None else And(conj, part)
+        return And(t.arg, conj)
     return None
-
-
-def _expand_def(t, target):
-    """Replace the first occurrence of target (by identity of match) with
-    its definition."""
-    if t is target or t == target:
-        if isinstance(t, Know):
-            return And(Info(t.agent, t.arg), t.arg)
-        if isinstance(t, Believe):
-            return Not(Know(t.agent, Not(t.arg)))
-        if isinstance(t, CK):
-            if t.depth == 0:
-                return t.arg
-            inner = CK(t.agents, t.arg, t.depth - 1)
-            conj = None
-            for agent in t.agents:
-                part = Info(agent, inner)
-                conj = part if conj is None else And(conj, part)
-            return And(t.arg, conj)
-        raise InternalError("not an expandable node")
-    kids = T.children(t)
-    for i, k in enumerate(kids):
-        if _contains(k, target):
-            new_kids = list(kids)
-            new_kids[i] = _expand_def(k, target)
-            return _rebuild(t, *new_kids)
-    return t
-
-
-def _contains(t, target):
-    if t is target or t == target:
-        return True
-    return any(_contains(k, target) for k in T.children(t))
-
-
-def _find_no_miracle(t, assumptions):
-    """First f[A](upd[a](s)) redex reachable through monotone constructors,
-    with a a concrete action whose appearance to A is declared."""
-    if isinstance(t, App) and isinstance(t.arg, Upd):
-        ref = t.arg.action
-        if (
-            isinstance(ref, ActName)
-            and (t.agent, ref.name) in assumptions.action_appearance
-        ):
-            return t
-    if isinstance(t, (Not, Believe)):
-        return None  # not a monotone position
-    for k in T.children(t):
-        found = _find_no_miracle(k, assumptions)
-        if found is not None:
-            return found
-    return None
-
-
-def _replace_once(t, target, replacement):
-    if t is target:
-        return replacement
-    kids = T.children(t)
-    for i, k in enumerate(kids):
-        if _contains_id(k, target):
-            new_kids = list(kids)
-            new_kids[i] = _replace_once(k, target, replacement)
-            return _rebuild(t, *new_kids)
-    return t
-
-
-def _contains_id(t, target):
-    if t is target:
-        return True
-    return any(_contains_id(k, target) for k in T.children(t))
 
 
 # -- rule applications ---------------------------------------------------------
@@ -363,33 +313,29 @@ def apply_rule(rule: str, seq: Sequent, assumptions: Assumptions):
             return [Sequent(lhs.arg, rhs)], note
         return None
 
-    if rule == ACT_APP_SUBST:
-        new_lhs, used_l = _subst_action_refs(lhs, assumptions.action_appearance)
-        new_rhs, used_r = _subst_action_refs(rhs, assumptions.action_appearance)
-        if new_lhs is None and new_rhs is None:
+    if rule in _PASS_RULES:
+        make_step, note = _PASS_RULES[rule]
+        used = []
+        step = make_step(assumptions, used)
+        new_lhs, new_rhs = _rewrite(lhs, step), _rewrite(rhs, step)
+        if not used and new_lhs is lhs and new_rhs is rhs:
             return None
-        child = Sequent(new_lhs if new_lhs is not None else lhs,
-                        new_rhs if new_rhs is not None else rhs)
-        return [child], "; ".join(used_l + used_r)
-
-    if rule == APP_SUBST:
-        new_lhs, used_l = _subst_appearances(lhs, assumptions.appearance_defs)
-        new_rhs, used_r = _subst_appearances(rhs, assumptions.appearance_defs)
-        if new_lhs is None and new_rhs is None:
-            return None
-        child = Sequent(new_lhs if new_lhs is not None else lhs,
-                        new_rhs if new_rhs is not None else rhs)
-        return [child], "substituted " + ", ".join(used_l + used_r)
+        return [Sequent(new_lhs, new_rhs)], note(used)
 
     if rule == DEF_EXPAND:
-        for side, other, is_lhs in ((lhs, rhs, True), (rhs, lhs, False)):
-            node = _find_def_node(side)
-            if node is not None:
-                expanded = _expand_def(side, node)
-                child = Sequent(expanded, other) if is_lhs else Sequent(other, expanded)
-                what = type(node).__name__
-                return [child], f"unfolded the definition of {what}"
-        return None
+        unfolded = []
+
+        def step(t):
+            new = _definition(t)
+            if new is not None:
+                unfolded.append(type(t).__name__)
+            return new
+
+        new_lhs = _rewrite(lhs, step, first=True)
+        new_rhs = rhs if unfolded else _rewrite(rhs, step, first=True)
+        if not unfolded:
+            return None
+        return [Sequent(new_lhs, new_rhs)], f"unfolded the definition of {unfolded[0]}"
 
     if rule == ADJ_UNFOLD_AFTER:
         if isinstance(rhs, After):
@@ -404,24 +350,25 @@ def apply_rule(rule: str, seq: Sequent, assumptions: Assumptions):
         return None
 
     if rule == NO_MIRACLE:
-        redex = _find_no_miracle(lhs, assumptions)
-        if redex is None:
-            return None
-        agent = redex.agent
-        action = redex.arg.action
-        replacement = Upd(ActApp(agent, action), App(agent, redex.arg.arg))
-        child = Sequent(_replace_once(lhs, redex, replacement), rhs)
-        note = f"agent {agent}, action {render_action(action)}"
-        return [child], note
+        # the first f[A](upd[a](s)) in a monotone position (not under ~ or B),
+        # with a a concrete action whose appearance to A is declared
+        table = assumptions.action_appearance
+        redexes = []
 
-    if rule == JOIN_DISTRIB:
-        new_lhs = _join_distrib(lhs)
-        new_rhs = _join_distrib(rhs)
-        if new_lhs is None and new_rhs is None:
+        def step(t):
+            cls = type(t)
+            if cls is App and type(t.arg) is Upd:
+                ref = t.arg.action
+                if type(ref) is ActName and (t.agent, ref.name) in table:
+                    redexes.append(t)
+                    return Upd(ActApp(t.agent, ref), App(t.agent, t.arg.arg))
+            return t if cls is Not or cls is Believe else None
+
+        new_lhs = _rewrite(lhs, step, first=True)
+        if not redexes:
             return None
-        child = Sequent(new_lhs if new_lhs is not None else lhs,
-                        new_rhs if new_rhs is not None else rhs)
-        return [child], "the maps preserve joins"
+        agent, action = redexes[0].agent, redexes[0].arg.action
+        return [Sequent(new_lhs, rhs)], f"agent {agent}, action {render_action(action)}"
 
     if rule == CASE_SPLIT:
         if isinstance(lhs, Or):

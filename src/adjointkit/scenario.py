@@ -30,7 +30,7 @@ Line-oriented block grammar, versioned with a mandatory `version 1` header:
     facts ATOM ...
 
     query ID check <term> |= <term> [expect holds|fails]
-    query ID prove <term> |= <term> [depth N]
+    query ID prove <term> |= <term> [depth N]     (N >= 1)
     query ID evaluate <term>
     query ID validate-axioms
 
@@ -356,7 +356,10 @@ def _parse_query(lineno, body, col) -> Query:
     if kind == "prove":
         parts = rest.rsplit(" depth ", 1)
         if len(parts) == 2 and parts[1].strip().isdigit():
+            depth_col = rest_col + len(rest) - len(parts[1].lstrip())
             rest, depth = parts[0].strip(), int(parts[1].strip())
+            if depth < 1:
+                raise ParseError(lineno, depth_col, "depth must be at least 1")
 
     p = _TermParser(rest, line=lineno, column_offset=rest_col - 1)
     seq = p.parse_entailment()

@@ -66,11 +66,16 @@ def eval_term(model: SemanticModel, term: T.Term) -> Element:
         if isinstance(t, T.CK):
             if t.depth is None:
                 return mama.common_knowledge(t.agents)(rec(t.arg))
-            # bounded variant: meet of the first depth+1 iterates (i from 0)
+            # bounded variant: meet of the first depth+1 iterates (i from 0);
+            # once an iterate repeats, the rest cycle and add nothing
             g = mama.group_information(t.agents)
             acc = cur = rec(t.arg)
+            seen = {cur}
             for _ in range(t.depth):
                 cur = g(cur)
+                if cur in seen:
+                    break
+                seen.add(cur)
                 acc = lat.meet2(acc, cur)
             return acc
         if isinstance(t, T.Upd):

@@ -1,7 +1,9 @@
 """CLI behavior: verdicts, exit codes, output parity between modes."""
 
 import json
+import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,58 @@ def test_json_and_human_verdicts_agree(capsys):
     human_ok = {line.split()[1] for line in human.splitlines() if "query" in line and " ok " in line}
     json_ok = {v["id"] for v in data["verdicts"] if v["ok"]}
     assert human_ok == json_ok
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_depth_flag_below_one_is_rejected(depth, capsys):
+    assert main(["prove", fixture_path("coin-lying.scn"), "q3", f"--depth={depth}"]) == 3
+    captured = capsys.readouterr()
+    assert f"--depth must be at least 1, not {depth}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_depth_flag_is_used_as_given(capsys):
+    # q3 needs two steps: one step of depth is not enough
+    assert main(["prove", fixture_path("coin-lying.scn"), "q3", "--depth", "1"]) == 1
+    assert "not proved (depth_exhausted)" in capsys.readouterr().out
+    assert main(["prove", fixture_path("coin-lying.scn"), "q3", "--depth", "2"]) == 0
+
+
+# -- golden outputs ----------------------------------------------------------------
+
+# Golden copies of the shipped scenarios' output with the timings elided. A
+# copy for --no-kernel-shortcut exists only where that output differs.
+GOLDEN = Path(__file__).parent / "golden"
+SHIPPED = sorted(
+    p.name for p in (resources.files("adjointkit") / "scenarios").iterdir()
+    if p.name.endswith(".scn")
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-kernel-shortcut"]])
+@pytest.mark.parametrize("scenario", SHIPPED)
+def test_run_json_matches_the_golden_copy(scenario, flags, monkeypatch, capsys):
+    # run from the scenario directory: a build failure reports the path given
+    monkeypatch.chdir(Path(fixture_path(scenario)).parent)
+    code = main(["run", scenario, "--json", *flags])
+    out, elided = re.subn(r'"timings": \{[^{}]*\}', '"timings": "elided"',
+                          capsys.readouterr().out)
+    assert elided == 1
+    assert code == json.loads(out)["exit_code"]
+    stem = scenario.removesuffix(".scn")
+    golden = GOLDEN / f"run-{stem}.no-kernel-shortcut.json"
+    if not (flags and golden.exists()):
+        golden = GOLDEN / f"run-{stem}.json"
+    assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-kernel-shortcut"]])
+def test_prove_text_matches_the_golden_copy(flags, capsys):
+    assert main(["prove", fixture_path("coin-lying.scn"), "q3", *flags]) == 0
+    out, elided = re.subn(r"(?m)^  timings: .*$", "  timings: elided", capsys.readouterr().out)
+    assert elided == 1
+    suffix = ".no-kernel-shortcut" if flags else ""
+    assert out == (GOLDEN / f"prove-coin-lying-q3{suffix}.txt").read_text()
 
 
 def test_prove_renders_tree(capsys):

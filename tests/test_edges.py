@@ -87,3 +87,48 @@ def test_powerset_of_one_world():
     assert lat.n == 2
     assert lat.is_boolean
     assert lat.join_irreducibles() == (lat.top,)
+
+
+def test_bounded_ck_stops_at_the_first_repeated_iterate(monkeypatch):
+    from importlib import resources
+    from itertools import combinations
+
+    from adjointkit import instantiate
+    from adjointkit.epistemic import MAMA
+    from adjointkit.semantics import SemanticModel, eval_term
+    from adjointkit.terms import CK, Atom
+
+    applied = 0
+    group_information = MAMA.group_information
+
+    def counted(self, group):
+        g = group_information(self, group)
+
+        def step(x):
+            nonlocal applied
+            applied += 1
+            return g(x)
+
+        return step
+
+    for name in ("muddy-3.scn", "coin-lying-model.scn"):
+        text = (resources.files("adjointkit") / "scenarios" / name).read_text()
+        model = instantiate(parse_scenario(text)).model
+        lat = model.lattice
+        agents = model.algebra.mama.agents
+        for x in lat.elements[:: max(1, lat.n // 16)]:
+            at_x = SemanticModel(model.algebra, {"x": x})
+            for size in range(1, len(agents) + 1):
+                for group in combinations(agents, size):
+                    # the meet of every iterate up to bound 64, with no early stop
+                    g = group_information(model.algebra.mama, group)
+                    want = cur = x
+                    for _ in range(64):
+                        cur = g(cur)
+                        want = lat.meet2(want, cur)
+                    with monkeypatch.context() as m:
+                        m.setattr(MAMA, "group_information", counted)
+                        applied = 0
+                        got = eval_term(at_x, CK(group, Atom("x"), 2_000_000))
+                    assert got == want == eval_term(at_x, CK(group, Atom("x"), 64))
+                    assert applied <= lat.n

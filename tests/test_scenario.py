@@ -70,6 +70,15 @@ def test_term_error_location_indexes_a_real_character():
     assert 1 <= err.value.column <= len(lines[err.value.line - 1]) + 1
 
 
+def test_prove_depth_below_one_is_a_located_parse_error():
+    base = "version 1\nscenario d\nmode symbolic\nworlds w\nprop H = w\n"
+    with pytest.raises(ParseError) as err:
+        parse_scenario(base + "query p1 prove H |= H depth 0\n")
+    assert (err.value.line, err.value.column) == (6, 29)
+    assert "depth must be at least 1" in str(err.value)
+    assert parse_scenario(base + "query p1 prove H |= H depth 1\n").queries[0].depth == 1
+
+
 def test_undeclared_action_in_query():
     text = fixture_text("coin-honest.scn").replace(
         "query q4 check H |= after[a](fi[A](H))",
