@@ -19,7 +19,7 @@ from .errors import AdjointKitError, InternalError, ParseError, ResolutionError
 from . import derivation, maps, quantale as quantale_mod
 from .epistemic import check_coclosure_consequences
 from .derivation import NotProved, render_proof
-from .scenario import Instantiated, instantiate, parse_scenario
+from .scenario import Instantiated, ScenarioDoc, instantiate, parse_scenario
 from .semantics import entails, eval_term
 from .terms import Sequent, render_term
 
@@ -96,17 +96,19 @@ class RunReport:
         }
 
 
-def _load(path: str, flags) -> tuple[Instantiated, dict]:
-    timings = {}
+def _parse(path: str) -> tuple[ScenarioDoc, dict]:
     t0 = time.perf_counter()
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     doc = parse_scenario(text)
-    timings["parse"] = time.perf_counter() - t0
+    return doc, {"parse": time.perf_counter() - t0}
+
+
+def _build(doc: ScenarioDoc, flags, timings: dict) -> Instantiated:
     t0 = time.perf_counter()
     inst = instantiate(doc, full_lattice_axioms=flags.full_lattice_axioms)
     timings["build"] = time.perf_counter() - t0
-    return inst, timings
+    return inst
 
 
 def _axiom_checks(inst: Instantiated, flags) -> list[AxiomCheck]:
@@ -275,14 +277,15 @@ def _run_query(inst: Instantiated, q, flags, axioms=None) -> Verdict:
 
 
 def _execute(path, flags, only_query=None, kinds=None, with_axioms=True) -> RunReport:
+    doc, timings = _parse(path)
     try:
-        inst, timings = _load(path, flags)
+        inst = _build(doc, flags, timings)
     except (ParseError, ResolutionError):
         raise
     except AdjointKitError as exc:
-        return RunReport(scenario=path, build_error=f"{type(exc).__name__}: {exc}")
+        return RunReport(scenario=doc.name, build_error=f"{type(exc).__name__}: {exc}")
 
-    report = RunReport(scenario=inst.doc.name, timings=timings)
+    report = RunReport(scenario=doc.name, timings=timings)
     for warning in inst.realization_warnings:
         report.axioms.append(AxiomCheck("realization", None, warning, mandatory=False))
 
@@ -343,7 +346,8 @@ def _print_report(report: RunReport, as_json: bool):
 
 
 def _cmd_tables(path, map_name, flags, as_json):
-    inst, _ = _load(path, flags)
+    doc, timings = _parse(path)
+    inst = _build(doc, flags, timings)
     if inst.model is None:
         raise ResolutionError("tables needs a semantic scenario")
     alg = inst.model.algebra

@@ -1,38 +1,50 @@
-"""Finite complete lattices with precomputed order, join and meet tables.
+"""Finite complete lattices: explicit orders on tables, powersets on bitmasks.
 
-A lattice is built once, validated eagerly and is then immutable: every
-downstream operation is a table lookup, which keeps the exhaustive axiom
-checks elsewhere in the package cheap. Arrays are marked read-only, so
-concurrent readers are safe.
+A lattice is built once, validated eagerly and is then immutable. Arrays
+are marked read-only, so concurrent readers are safe. There are two
+backends, chosen by what is being built:
 
-Construction runs these checks and analyses, each as a few whole-table
-numpy passes:
+- An explicit order (`build_from_order`, a `poset ... end` scenario block)
+  is a `FiniteLattice` with precomputed order, join and meet tables, and
+  every operation is a table lookup. Construction runs these checks and
+  analyses, each as a few whole-table numpy passes:
 
-- Poset: the order table is reflexive, antisymmetric and transitive
-  (up(k) lies inside up(i) whenever i <= k, compared on bit-packed rows).
-- Lattice: every pair has a join and a meet. k is the join of i and j iff k
-  is an upper bound of both and |up(k)| = |ub(i, j)|, because up(k) is
-  contained in ub(i, j) for every upper bound k, so equal sizes mean k lies
-  below all of them. The meet is the dual. On a powerset the element index
-  is the subset bitmask, so join and meet are bitwise or and and.
-- Join-irreducibles: the non-bottom elements that are not the join of two
-  strictly smaller ones, read off the join table.
-- Distributivity: a finite lattice is distributive iff every
-  join-irreducible e is join-prime (e <= x \\/ y implies e <= x or e <= y).
-  In a distributive lattice irreducibles are prime; conversely, if they all
-  are, x -> {e irreducible : e <= x} embeds the lattice into a powerset.
-  This is the core of Birkhoff's representation theorem for finite
-  distributive lattices (Davey & Priestley, Introduction to Lattices and
-  Order, 2nd ed., 2002).
-- Complements, in a distributive lattice: the unique y with x /\\ y = bottom
-  and x \\/ y = top; the lattice is Boolean when every element has one.
-- Height: the longest chain counted in covers, found by peeling off the
-  minimal elements until none are left (Mirsky's theorem).
+  - Poset: the order table is reflexive, antisymmetric and transitive
+    (up(k) lies inside up(i) whenever i <= k, compared on bit-packed rows).
+  - Lattice: every pair has a join and a meet. k is the join of i and j iff
+    k is an upper bound of both and |up(k)| = |ub(i, j)|, because up(k) is
+    contained in ub(i, j) for every upper bound k, so equal sizes mean k
+    lies below all of them. The meet is the dual.
+  - Join-irreducibles: the non-bottom elements that are not the join of two
+    strictly smaller ones, read off the join table.
+  - Distributivity: a finite lattice is distributive iff every
+    join-irreducible e is join-prime (e <= x \\/ y implies e <= x or
+    e <= y). In a distributive lattice irreducibles are prime; conversely,
+    if they all are, x -> {e irreducible : e <= x} embeds the lattice into a
+    powerset. This is the core of Birkhoff's representation theorem for
+    finite distributive lattices (Davey & Priestley, Introduction to
+    Lattices and Order, 2nd ed., 2002).
+  - Complements, in a distributive lattice: the unique y with
+    x /\\ y = bottom and x \\/ y = top; the lattice is Boolean when every
+    element has one.
+  - Height: the longest chain counted in covers, found by peeling off the
+    minimal elements until none are left (Mirsky's theorem).
 
-The element cap defaults to 256 (a 2^16-cell order table) and can be raised
-with the ADJOINT_KIT_MAX_LATTICE environment variable; it is checked before
-any table is allocated. The powerset builder additionally refuses more than
-16 worlds outright.
+- A powerset of worlds (`powerset_lattice`) is a `PowersetLattice`: element
+  index i is the subset with bitmask i, so every operation is mask
+  arithmetic and nothing is tabulated or re-checked, since a powerset is
+  Boolean by construction. numpy is imported only by the table backend.
+
+Each backend has one size limit, checked before anything is allocated. A
+powerset has at most MAX_POWERSET_WORLDS = 16 worlds. A table carrier, and
+the tables of a powerset when something reads them, has at most
+MAX_TABLE_ELEMENTS = 1,024 elements. The memory budget behind that number:
+the tables take 17 bytes a cell (17 MiB at 1,024 elements), but the
+transitivity check gathers a bit-packed row for every order pair, n^3/16
+bytes a copy on a chain, so building a 1,024-element chain peaks at about
+170 MB resident. Below these limits the element cap defaults to 256 and can
+be set with the ADJOINT_KIT_MAX_LATTICE environment variable, up to 2^16,
+the largest carrier either backend builds; a larger value is refused.
 """
 
 from __future__ import annotations
@@ -40,10 +52,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Sequence
-
-import numpy as np
+from functools import cached_property, reduce
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     ForeignElement,
@@ -55,8 +65,12 @@ from .errors import (
     TooManyWorlds,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_MAX_ELEMENTS = 256
 MAX_POWERSET_WORLDS = 16
+MAX_TABLE_ELEMENTS = 1024
 
 _uid_counter = itertools.count(1)
 
@@ -72,6 +86,11 @@ def max_elements() -> int:
         raise LatticeTooLarge(f"ADJOINT_KIT_MAX_LATTICE is not an integer: {raw!r}")
     if value < 1:
         raise LatticeTooLarge("ADJOINT_KIT_MAX_LATTICE must be positive")
+    ceiling = 1 << MAX_POWERSET_WORLDS
+    if value > ceiling:
+        raise LatticeTooLarge(
+            f"ADJOINT_KIT_MAX_LATTICE={value} is over the ceiling of {ceiling}"
+        )
     return value
 
 
@@ -92,35 +111,33 @@ class Element:
 
 
 class FiniteLattice:
-    """A finite complete lattice over dense element indices 0..n-1.
+    """A finite complete lattice over dense element indices 0..n-1, given by
+    its order table.
 
     Exposes joins, meets, complements, Heyting implication and
     join-irreducibles. Instances are immutable after construction.
     """
 
-    def __init__(self, names: Sequence[str], leq: np.ndarray, *, worlds=None):
+    # tuple of world labels on a powerset carrier, None on an explicit order
+    worlds = None
+
+    def __init__(self, names: Sequence[str], leq: np.ndarray):
+        import numpy as np
+
         n = len(names)
         if len(set(names)) != n:
             raise NotAPoset("element names must be distinct")
-        _check_count(n)
+        _check_table_count(n)
         leq = np.array(leq, dtype=bool)
         if leq.shape != (n, n):
             raise NotAPoset(f"order table must be {n}x{n}, got {leq.shape}")
         _check_poset(names, leq)
 
-        self.uid = next(_uid_counter)
-        self.elements: tuple[Element, ...] = tuple(
-            Element(i, names[i], self.uid) for i in range(n)
-        )
-        self._by_name = {e.name: e for e in self.elements}
-        self.n = n
+        self._set_elements(names)
         self.leq = leq
         self.leq.flags.writeable = False
-        # worlds is set for powerset carriers: tuple of world labels, where
-        # element index i is the bitmask of the subset it denotes.
-        self.worlds = worlds
 
-        self.join_table, self.meet_table = _bound_tables(names, leq, worlds)
+        self.join_table, self.meet_table = _bound_tables(names, leq)
         self.join_table.flags.writeable = False
         self.meet_table.flags.writeable = False
 
@@ -136,6 +153,14 @@ class FiniteLattice:
             self._complements is not None and all(c is not None for c in self._complements)
         )
         self.height = self._compute_height()
+
+    def _set_elements(self, names):
+        self.uid = next(_uid_counter)
+        self.elements: tuple[Element, ...] = tuple(
+            Element(i, name, self.uid) for i, name in enumerate(names)
+        )
+        self._by_name = {e.name: e for e in self.elements}
+        self.n = len(names)
 
     # -- basic queries ---------------------------------------------------
 
@@ -187,6 +212,8 @@ class FiniteLattice:
 
     def heyting_implication(self, a: Element, b: Element) -> Element:
         """Relative pseudo-complement: join of every x with x /\\ a <= b."""
+        import numpy as np
+
         if not self.is_distributive:
             raise NotDistributive("Heyting implication needs a distributive lattice")
         self.check(a), self.check(b)
@@ -224,6 +251,8 @@ class FiniteLattice:
     # -- construction-time analysis ---------------------------------------
 
     def _check_distributive(self) -> bool:
+        import numpy as np
+
         # Birkhoff: distributive iff every join-irreducible e is join-prime,
         # i.e. e <= x \/ y exactly when e <= x or e <= y.
         for e in self._irreducibles:
@@ -239,6 +268,8 @@ class FiniteLattice:
         return [int(y) if is_comp[x, y] else None for x, y in enumerate(first)]
 
     def _compute_join_irreducibles(self):
+        import numpy as np
+
         # x is join-reducible iff x = y \/ z with y, z strictly below x, i.e.
         # iff x is in the join table at a pair that does not contain x.
         jt = self.join_table
@@ -249,6 +280,8 @@ class FiniteLattice:
         return tuple(self.elements[i] for i in np.flatnonzero(~reducible))
 
     def _compute_height(self) -> int:
+        import numpy as np
+
         # Longest chain length measured in covers: by Mirsky's theorem the
         # longest chain has as many elements as there are rounds of removing
         # the minimal elements of what is left.
@@ -261,15 +294,117 @@ class FiniteLattice:
         return rounds - 1
 
 
-def _check_count(n):
+class PowersetLattice(FiniteLattice):
+    """The Boolean lattice of all subsets of some worlds, ordered by
+    inclusion, on bitmasks.
+
+    Element index i denotes the subset with bitmask i, so the order is mask
+    inclusion, join and meet are bitwise or and and, the complement of i is
+    top ^ i, the join-irreducibles are the singletons and the height is the
+    number of worlds. A powerset is Boolean by construction, so none of the
+    checks of an explicit order runs. The `leq`, `join_table`, `meet_table`
+    and `_complements` attributes are built on first access, under the table
+    size limit.
+    """
+
+    is_distributive = True
+    is_boolean = True
+
+    def __init__(self, worlds: Sequence[str]):
+        worlds = tuple(worlds)
+        if len(set(worlds)) != len(worlds):
+            raise NotAPoset("world labels must be distinct")
+        if len(worlds) > MAX_POWERSET_WORLDS:
+            raise TooManyWorlds(f"{len(worlds)} worlds exceeds the limit of {MAX_POWERSET_WORLDS}")
+        n = 1 << len(worlds)
+        cap = max_elements()
+        if n > cap:
+            raise LatticeTooLarge(
+                f"powerset of {len(worlds)} worlds has {n} elements, over the cap of {cap}"
+            )
+        self._set_elements([_subset_name(worlds, m) for m in range(n)])
+        self.worlds = worlds
+        self.bottom, self.top = self.elements[0], self.elements[-1]
+        self._irreducibles = tuple(self.elements[1 << k] for k in range(len(worlds)))
+        self.height = len(worlds)
+
+    def leq_(self, a: Element, b: Element) -> bool:
+        self.check(a), self.check(b)
+        return (a.index & ~b.index) == 0
+
+    def join2(self, a: Element, b: Element) -> Element:
+        self.check(a), self.check(b)
+        return self.elements[a.index | b.index]
+
+    def meet2(self, a: Element, b: Element) -> Element:
+        self.check(a), self.check(b)
+        return self.elements[a.index & b.index]
+
+    def complement(self, a: Element) -> Element:
+        self.check(a)
+        return self.elements[self.top.index ^ a.index]
+
+    def complement_table(self):
+        return tuple(self.top.index ^ i for i in range(self.n))
+
+    def heyting_implication(self, a: Element, b: Element) -> Element:
+        self.check(a), self.check(b)
+        return self.elements[(self.top.index ^ a.index) | b.index]
+
+    # -- tables, on first access --------------------------------------------
+
+    def _masks(self):
+        import numpy as np
+
+        _check_table_count(self.n)
+        return np.arange(self.n)
+
+    @cached_property
+    def leq(self):
+        masks = self._masks()
+        leq = (masks[:, None] & masks[None, :]) == masks[:, None]
+        leq.flags.writeable = False
+        return leq
+
+    @cached_property
+    def join_table(self):
+        masks = self._masks()
+        table = masks[:, None] | masks[None, :]
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def meet_table(self):
+        masks = self._masks()
+        table = masks[:, None] & masks[None, :]
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def _complements(self):
+        return list(self.complement_table())
+
+
+def _subset_name(worlds, mask):
+    return "{" + ",".join(w for k, w in enumerate(worlds) if mask >> k & 1) + "}"
+
+
+def _check_table_count(n):
+    """The element cap, then the limit on n x n tables."""
     if n == 0:
         raise NotALattice("a lattice needs at least one element")
     cap = max_elements()
     if n > cap:
         raise LatticeTooLarge(f"{n} elements exceeds the cap of {cap}")
+    if n > MAX_TABLE_ELEMENTS:
+        raise LatticeTooLarge(
+            f"{n} elements exceeds the limit of {MAX_TABLE_ELEMENTS} for lattice tables"
+        )
 
 
 def _check_poset(names, leq):
+    import numpy as np
+
     if not leq.diagonal().all():
         i = int(np.where(~leq.diagonal())[0][0])
         raise NotAPoset(f"order not reflexive at {names[i]!r}")
@@ -296,6 +431,8 @@ def _least_bounds(leq):
     common bound of i and j is a minimal one. It is the least one iff its own
     up-set, which lies inside the common bounds, is as large as they are.
     """
+    import numpy as np
+
     n_up = leq.sum(axis=1)
     order = np.argsort(-n_up)
     up, n_up = leq[:, order], n_up[order]
@@ -309,13 +446,8 @@ def _least_bounds(leq):
     return least, found
 
 
-def _bound_tables(names, leq, worlds):
-    n = len(names)
-    if worlds is not None:
-        # Powerset fast path: the element index is the subset bitmask, so
-        # join is bitwise or and meet is bitwise and.
-        idx = np.arange(n)
-        return (idx[:, None] | idx[None, :]), (idx[:, None] & idx[None, :])
+def _bound_tables(names, leq):
+    import numpy as np
 
     join, has_join = _least_bounds(leq)
     meet, has_meet = _least_bounds(leq.T)
@@ -343,6 +475,8 @@ def _transitive_closure(leq):
 def build_from_order(labels: Sequence[str], leq_pairs: Iterable[tuple[str, str]]) -> FiniteLattice:
     """Build a lattice from labels and order pairs (closed reflexively and
     transitively). Raises NotAPoset / NotALattice with the offending data."""
+    import numpy as np
+
     labels = list(labels)
     pos = {lab: i for i, lab in enumerate(labels)}
     if len(pos) != len(labels):
@@ -352,35 +486,16 @@ def build_from_order(labels: Sequence[str], leq_pairs: Iterable[tuple[str, str]]
         if a not in pos or b not in pos:
             raise ForeignElement(f"order pair ({a!r}, {b!r}) uses an unknown label")
         pairs.append((pos[a], pos[b]))
-    # The cap goes before any n x n table: the closure alone costs ~n^3.
+    # The limits go before any n x n table: the closure alone costs ~n^3.
     n = len(labels)
-    _check_count(n)
+    _check_table_count(n)
     leq = np.eye(n, dtype=bool)
     for i, j in pairs:
         leq[i, j] = True
     return FiniteLattice(labels, _transitive_closure(leq))
 
 
-def powerset_lattice(worlds: Sequence[str]) -> FiniteLattice:
+def powerset_lattice(worlds: Sequence[str]) -> PowersetLattice:
     """Boolean lattice of all subsets of the given worlds, ordered by
     inclusion. Element index i denotes the subset with bitmask i."""
-    worlds = tuple(worlds)
-    if len(set(worlds)) != len(worlds):
-        raise NotAPoset("world labels must be distinct")
-    if len(worlds) > MAX_POWERSET_WORLDS:
-        raise TooManyWorlds(f"{len(worlds)} worlds exceeds the limit of {MAX_POWERSET_WORLDS}")
-    n = 1 << len(worlds)
-    cap = max_elements()
-    if n > cap:
-        raise LatticeTooLarge(
-            f"powerset of {len(worlds)} worlds has {n} elements, over the cap of {cap}"
-        )
-
-    def name(mask):
-        members = [worlds[k] for k in range(len(worlds)) if mask >> k & 1]
-        return "{" + ",".join(members) + "}"
-
-    names = [name(m) for m in range(n)]
-    masks = np.arange(n)
-    leq = (masks[:, None] & masks[None, :]) == masks[:, None]
-    return FiniteLattice(names, leq, worlds=worlds)
+    return PowersetLattice(worlds)

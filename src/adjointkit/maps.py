@@ -3,8 +3,17 @@
 A join-preserving f determines a meet-preserving right adjoint by
 f*(b) = join of every b' with f(b') <= b, and a meet-preserving g a
 join-preserving left adjoint by g*(b) = meet of every b' with b <= g(b').
-Both are computed here by exactly that enumeration; the carrier is small
-and the defining formula doubles as the specification.
+On an explicit order both are computed by exactly that enumeration over
+the lattice tables, with numpy.
+
+On a powerset P(W) a join-preserving f is fixed by the relation
+R(w) = f({w}): f(S) = R[S], and f*(S) = {w : R(w) <= S} (Jonsson and
+Tarski, "Boolean algebras with operators", 1951). A meet-preserving map is
+likewise fixed by its images of the coatoms W - {v}. So maps on a powerset
+are built from |W| images by bit operations on the subset masks, and a law
+that is join- or meet-preserving on both sides is decided on bottom and
+the singletons. Only when it fails does a scan in the order of the table
+check look for the first witness.
 
 Map flavor (join-preserving / meet-preserving / unclassified) is tracked
 explicitly and operations demand the flavor they need, so misuse fails
@@ -13,10 +22,9 @@ loudly instead of silently producing junk.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .errors import (
     InternalError,
@@ -86,7 +94,9 @@ class LatticeMap:
     def __repr__(self):
         return f"LatticeMap({self.kind}, {list(self.table)})"
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
+
         return np.array(self.table, dtype=np.intp)
 
 
@@ -150,6 +160,9 @@ def map_from_generators(lattice: FiniteLattice, assignments: dict) -> LatticeMap
         raise MissingGenerator("; ".join(parts))
 
     images = {k.index: lattice.check(v).index for k, v in assignments.items()}
+    if lattice.worlds is not None:
+        # the irreducibles are the singletons, in mask order
+        return LatticeMap(lattice, _from_atoms([images[e.index] for e in irr]), JOIN_PRESERVING)
     table = []
     for x in range(lattice.n):
         acc = lattice.bottom.index
@@ -175,38 +188,51 @@ def validate_join_preserving(m: LatticeMap) -> PreservationViolation | None:
     On a finite lattice this implies preservation of arbitrary joins.
     """
     lat = m.lattice
-    t = m.as_array()
-    if m.table[lat.bottom.index] != lat.bottom.index:
-        return PreservationViolation(None, m(lat.bottom), lat.bottom)
-    lhs = t[lat.join_table]                 # f(a \/ b)
-    rhs = lat.join_table[np.ix_(t, t)]      # f(a) \/ f(b)
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        a, b = (int(k) for k in bad[0])
-        return PreservationViolation(
-            (lat.elements[a], lat.elements[b]),
-            lat.elements[int(lhs[a, b])],
-            lat.elements[int(rhs[a, b])],
-        )
-    return None
+    return _bound_violation(m, lat.bottom, lambda: lat.join_table, operator.or_, _join_extension)
+
+
+def preserves_joins(m: LatticeMap) -> bool:
+    """Whether m preserves bottom and binary joins; on a powerset, in time
+    linear in the carrier."""
+    if m.lattice.worlds is not None:
+        return m.table == _join_extension(m.lattice, m.table)
+    return validate_join_preserving(m) is None
 
 
 def validate_meet_preserving(m: LatticeMap) -> PreservationViolation | None:
     lat = m.lattice
-    t = m.as_array()
-    if m.table[lat.top.index] != lat.top.index:
-        return PreservationViolation(None, m(lat.top), lat.top)
-    lhs = t[lat.meet_table]
-    rhs = lat.meet_table[np.ix_(t, t)]
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
+    return _bound_violation(m, lat.top, lambda: lat.meet_table, operator.and_, _meet_extension)
+
+
+def _bound_violation(m, unit, bound_table, mask_bound, extension):
+    """First witness against m preserving the empty bound (unit) and the
+    binary bound, whose table bound_table() gives on an explicit order and
+    which mask_bound computes on a powerset; pairs go in row-major order."""
+    lat = m.lattice
+    t = m.table
+    if t[unit.index] != unit.index:
+        return PreservationViolation(None, m(unit), unit)
+    if lat.worlds is not None:
+        # m preserves joins (meets) iff it is the union (intersection)
+        # extension of its images of the singletons (their complements)
+        if t == extension(lat, t):
+            return None
+        a, b = _first_pair(lat.n, lambda a, b: t[mask_bound(a, b)] != mask_bound(t[a], t[b]))
+        lhs, rhs = t[mask_bound(a, b)], mask_bound(t[a], t[b])
+    else:
+        import numpy as np
+
+        bounds = bound_table()
+        ta = m.as_array()
+        lhs_t = ta[bounds]                  # m(a bound b)
+        rhs_t = bounds[np.ix_(ta, ta)]      # m(a) bound m(b)
+        bad = np.argwhere(lhs_t != rhs_t)
+        if not len(bad):
+            return None
         a, b = (int(k) for k in bad[0])
-        return PreservationViolation(
-            (lat.elements[a], lat.elements[b]),
-            lat.elements[int(lhs[a, b])],
-            lat.elements[int(rhs[a, b])],
-        )
-    return None
+        lhs, rhs = int(lhs_t[a, b]), int(rhs_t[a, b])
+    el = lat.elements
+    return PreservationViolation((el[a], el[b]), el[lhs], el[rhs])
 
 
 def right_adjoint(f: LatticeMap) -> AdjointPair:
@@ -214,13 +240,18 @@ def right_adjoint(f: LatticeMap) -> AdjointPair:
     if f.kind != JOIN_PRESERVING:
         raise NotJoinPreserving("right_adjoint needs a join-preserving map")
     lat = f.lattice
-    t = f.as_array()
-    table = []
-    for b in range(lat.n):
-        acc = lat.bottom.index
-        for bp in np.where(lat.leq[t, b])[0]:
-            acc = lat.join_table[acc, bp]
-        table.append(acc)
+    if lat.worlds is not None:
+        table = _right_adjoint_table(lat, f.table)
+    else:
+        import numpy as np
+
+        t = f.as_array()
+        table = []
+        for b in range(lat.n):
+            acc = lat.bottom.index
+            for bp in np.where(lat.leq[t, b])[0]:
+                acc = lat.join_table[acc, bp]
+            table.append(acc)
     fstar = LatticeMap(lat, table, MEET_PRESERVING)
     return AdjointPair(left=f, right=fstar)
 
@@ -230,13 +261,18 @@ def left_adjoint(g: LatticeMap) -> AdjointPair:
     if g.kind != MEET_PRESERVING:
         raise NotMeetPreserving("left_adjoint needs a meet-preserving map")
     lat = g.lattice
-    t = g.as_array()
-    table = []
-    for b in range(lat.n):
-        acc = lat.top.index
-        for bp in np.where(lat.leq[b, t])[0]:
-            acc = lat.meet_table[acc, bp]
-        table.append(acc)
+    if lat.worlds is not None:
+        table = _left_adjoint_table(lat, g.table)
+    else:
+        import numpy as np
+
+        t = g.as_array()
+        table = []
+        for b in range(lat.n):
+            acc = lat.top.index
+            for bp in np.where(lat.leq[b, t])[0]:
+                acc = lat.meet_table[acc, bp]
+            table.append(acc)
     gstar = LatticeMap(lat, table, JOIN_PRESERVING)
     return AdjointPair(left=gstar, right=g)
 
@@ -246,9 +282,8 @@ def de_morgan_dual(f: LatticeMap) -> LatticeMap:
     lat = f.lattice
     if not lat.is_boolean:
         raise NotBoolean("de Morgan dual needs a Boolean lattice")
-    comp = np.array(lat.complement_table(), dtype=np.intp)
-    t = f.as_array()
-    table = comp[t[comp]]
+    comp = lat.complement_table()
+    table = [comp[f.table[c]] for c in comp]
     flip = {JOIN_PRESERVING: MEET_PRESERVING, MEET_PRESERVING: JOIN_PRESERVING}
     return LatticeMap(lat, table, flip.get(f.kind, UNCLASSIFIED))
 
@@ -258,13 +293,22 @@ def verify_adjunction(f: LatticeMap, g: LatticeMap) -> tuple[Element, Element] |
     if f.lattice is not g.lattice:
         raise LatticeMismatch("adjunction candidates live on different lattices")
     lat = f.lattice
-    lhs = lat.leq[f.as_array(), :]          # f(b) <= b'
-    rhs = lat.leq[:, g.as_array()]          # b <= g(b')
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
+    if lat.worlds is not None:
+        ft, gt = f.table, g.table
+        # f -| g iff f preserves joins and g is its right adjoint
+        if ft == _join_extension(lat, ft) and gt == _right_adjoint_table(lat, ft):
+            return None
+        b, bp = _first_pair(lat.n, lambda b, bp: ((ft[b] & ~bp) == 0) != ((b & ~gt[bp]) == 0))
+    else:
+        import numpy as np
+
+        lhs = lat.leq[f.as_array(), :]          # f(b) <= b'
+        rhs = lat.leq[:, g.as_array()]          # b <= g(b')
+        bad = np.argwhere(lhs != rhs)
+        if not len(bad):
+            return None
         b, bp = (int(k) for k in bad[0])
-        return lat.elements[b], lat.elements[bp]
-    return None
+    return lat.elements[b], lat.elements[bp]
 
 
 def _require_same(f: LatticeMap, g: LatticeMap):
@@ -283,7 +327,10 @@ def compose(f: LatticeMap, g: LatticeMap) -> LatticeMap:
 def pointwise_join(f: LatticeMap, g: LatticeMap) -> LatticeMap:
     _require_same(f, g)
     lat = f.lattice
-    table = lat.join_table[f.as_array(), g.as_array()]
+    if lat.worlds is not None:
+        table = map(operator.or_, f.table, g.table)
+    else:
+        table = lat.join_table[f.as_array(), g.as_array()]
     kind = JOIN_PRESERVING if f.kind == g.kind == JOIN_PRESERVING else UNCLASSIFIED
     return LatticeMap(lat, table, kind)
 
@@ -291,7 +338,10 @@ def pointwise_join(f: LatticeMap, g: LatticeMap) -> LatticeMap:
 def pointwise_meet(f: LatticeMap, g: LatticeMap) -> LatticeMap:
     _require_same(f, g)
     lat = f.lattice
-    table = lat.meet_table[f.as_array(), g.as_array()]
+    if lat.worlds is not None:
+        table = map(operator.and_, f.table, g.table)
+    else:
+        table = lat.meet_table[f.as_array(), g.as_array()]
     kind = MEET_PRESERVING if f.kind == g.kind == MEET_PRESERVING else UNCLASSIFIED
     return LatticeMap(lat, table, kind)
 
@@ -355,9 +405,67 @@ def check_demorgan_lift(f: LatticeMap) -> Element | None:
     fstar = right_adjoint(f).right
     g = de_morgan_dual(f)
     gstar = left_adjoint(g).left
-    comp = np.array(lat.complement_table(), dtype=np.intp)
-    lifted = comp[gstar.as_array()[comp]]   # not g*(not b)
-    bad = np.where(fstar.as_array() != lifted)[0]
-    if len(bad):
-        return lat.elements[int(bad[0])]
-    return None
+    comp = lat.complement_table()
+    lifted = [comp[gstar.table[c]] for c in comp]   # not g*(not b)
+    bad = next((b for b in range(lat.n) if fstar.table[b] != lifted[b]), None)
+    return None if bad is None else lat.elements[bad]
+
+
+# -- powerset carriers: maps as bit operations on subset masks ------------------
+
+
+def _from_atoms(images) -> tuple:
+    """Table of the join-preserving map on a powerset that sends the k-th
+    singleton to images[k]: each world doubles the table, the new half
+    being the old one joined with the world's image."""
+    t = [0]
+    for img in images:
+        t += [x | img for x in t]
+    return tuple(t)
+
+
+def _from_coatoms(top: int, images) -> tuple:
+    """Table of the meet-preserving map on a powerset that sends the
+    complement of the k-th singleton to images[k]: the dual doubling, the
+    subsets without world k meeting its image."""
+    t = [top]
+    for img in images:
+        t = [x & img for x in t] + t
+    return tuple(t)
+
+
+def _atoms(lat: FiniteLattice, t) -> list:
+    return [t[1 << k] for k in range(len(lat.worlds))]
+
+
+def _coatoms(lat: FiniteLattice, t) -> list:
+    return [t[lat.top.index ^ (1 << k)] for k in range(len(lat.worlds))]
+
+
+def _join_extension(lat: FiniteLattice, t) -> tuple:
+    return _from_atoms(_atoms(lat, t))
+
+
+def _meet_extension(lat: FiniteLattice, t) -> tuple:
+    return _from_coatoms(lat.top.index, _coatoms(lat, t))
+
+
+def _transpose_complement(rows) -> list:
+    """Row v of the result has bit u set iff rows[u] has bit v clear."""
+    k = len(rows)
+    return [sum(1 << u for u in range(k) if not rows[u] >> v & 1) for v in range(k)]
+
+
+def _right_adjoint_table(lat: FiniteLattice, t) -> tuple:
+    # f*(W - {v}) = {u : v not in f({u})}, and f* preserves meets
+    return _from_coatoms(lat.top.index, _transpose_complement(_atoms(lat, t)))
+
+
+def _left_adjoint_table(lat: FiniteLattice, t) -> tuple:
+    # g*({w}) = {v : w not in g(W - {v})}, and g* preserves joins
+    return _from_atoms(_transpose_complement(_coatoms(lat, t)))
+
+
+def _first_pair(n: int, bad) -> tuple[int, int]:
+    """The first (a, b) in row-major order with bad(a, b); there is one."""
+    return next((a, b) for a in range(n) for b in range(n) if bad(a, b))

@@ -20,8 +20,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .errors import GeneratorMismatch, UnknownAction, WordLengthExceeded
 from .dynamics import DynamicAlgebra
 from .lattice import Element
@@ -309,12 +307,13 @@ class EpistemicSystemView:
         self.quantale = q
         self.lifts = lifts if lifts is not None else lift_action_appearance(alg, q)
         if word_maps is None:
+            # words() lists shortest first, so each word's prefix is ready
             word_maps = {}
             for w in q.words():
-                m = maps.identity_map(alg.lattice, maps.JOIN_PRESERVING)
-                for letter in w:
-                    m = maps.compose(alg.update_map(letter), m)
-                word_maps[w] = m
+                word_maps[w] = (
+                    maps.compose(alg.update_map(w[-1]), word_maps[w[:-1]]) if w
+                    else maps.identity_map(alg.lattice, maps.JOIN_PRESERVING)
+                )
         self.word_maps = dict(word_maps)
 
     @property
@@ -350,12 +349,6 @@ def binary_to_indexed(view: EpistemicSystemView) -> DynamicAlgebra:
     )
 
 
-def _first(bad: np.ndarray):
-    """Position of the first True cell in row-major order, or None."""
-    hits = np.flatnonzero(bad)
-    return np.unravel_index(hits[0], bad.shape) if hits.size else None
-
-
 def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False) -> QuantaleReport:
     """Module laws of the epistemic system plus the underlying axioms.
 
@@ -364,18 +357,68 @@ def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False
     no-miracle inequality f_A h(l, w) <= h(f_A(l), f'_A(w)), and folds in
     the epistemic-quantale report. A full pass certifies the pair.
 
-    Each law is judged for every element at once on the word maps' image
-    tables, with the same verdicts and first witnesses as a loop over act.
+    Each law is judged on the word maps' image tables, with the same
+    verdicts and first witnesses as a loop over act.
     """
-    alg, q, lat = view.algebra, view.quantale, view.lattice
+    q, lat = view.quantale, view.lattice
     quantale_report = check_epistemic_quantale(q, view.lifts, non_paranoid)
     checks = list(quantale_report.checks)
 
     words = q.words()
+    unions = _canonical_unions(q)
+    pairs = list(_composable_pairs(q, words))
+    first_failures = _mask_laws if lat.worlds is not None else _table_laws
+    unit_hit, join_hit, composition_hit, miracle_hit = first_failures(
+        view, words, unions, pairs, non_paranoid)
+    names = [e.name for e in lat.elements]
+
+    wit = None if unit_hit is None else names[unit_hit]
+    checks.append(LawCheck("act-unit", wit is None, wit))
+
+    wit = None
+    if join_hit is not None:
+        e, k = join_hit
+        wit = f"h({names[e]}, 0)" if k == 0 else f"h({names[e]}, {fmt_q(unions[k - 1])})"
+    checks.append(LawCheck("act-join-law", wit is None, wit))
+
+    wit = None
+    if composition_hit is not None:
+        (w, v), e = pairs[composition_hit[0]], composition_hit[1]
+        wit = f"h({names[e]}, {fmt_word(w)}.{fmt_word(v)})"
+    checks.append(LawCheck("act-composition", wit is None, wit))
+
+    wit = None
+    if miracle_hit is not None:
+        agent, i, e = miracle_hit
+        wit = f"agent {agent}, word {fmt_word(words[i])}, at {names[e]}"
+    checks.append(LawCheck("lifted-no-miracle", wit is None, wit))
+
+    return QuantaleReport(tuple(checks), quantale_report.equalities)
+
+
+# Each of the two functions below returns the first failure of each module
+# law, in the order of a loop over act: the element of act-unit; (element,
+# column) of act-join-law, column 0 being h(l, 0) = bottom and column k the
+# k-th canonical union; (pair, element) of act-composition; (agent, word,
+# element) of lifted-no-miracle. None where a law holds.
+
+
+def _table_laws(view, words, unions, pairs, non_paranoid):
+    """Every law judged for every element at once, by numpy gathers over
+    the word maps' image tables and the lattice tables."""
+    import numpy as np
+
+    q, lat = view.quantale, view.lattice
     row = {w: i for i, w in enumerate(view.word_maps)}
     tables = np.array([m.table for m in view.word_maps.values()], dtype=np.intp)
-    names = [e.name for e in lat.elements]
     bottom = np.full(lat.n, lat.bottom.index, dtype=np.intp)
+
+    def first(bad):
+        """Position of the first True cell in row-major order, or None."""
+        hits = np.flatnonzero(bad)
+        if not hits.size:
+            return None
+        return tuple(int(i) for i in np.unravel_index(hits[0], bad.shape))
 
     def join_all(columns):
         out = bottom
@@ -387,44 +430,78 @@ def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False
         """h(l, p) for every l, as an index column."""
         return join_all(tables[row[w]] for w in p)
 
-    hit = _first(act(q.unit) != np.arange(lat.n))
-    wit = None if hit is None else names[hit[0]]
-    checks.append(LawCheck("act-unit", wit is None, wit))
+    unit_hit = first(act(q.unit) != np.arange(lat.n))
+    unit_hit = None if unit_hit is None else unit_hit[0]
 
-    # column 0 is h(l, 0) = bottom, then one column per canonical union
-    unions = _canonical_unions(q)
     lhs = np.stack([act(q.bottom)] + [act(p) for p in unions], axis=1)
     rhs = np.stack([bottom] + [join_all(act(frozenset({w})) for w in p) for p in unions], axis=1)
-    hit = _first(lhs != rhs)
-    wit = None
-    if hit is not None:
-        e, k = hit
-        wit = f"h({names[e]}, 0)" if k == 0 else f"h({names[e]}, {fmt_q(unions[k - 1])})"
-    checks.append(LawCheck("act-join-law", wit is None, wit))
+    join_hit = first(lhs != rhs)
 
-    pairs = list(_composable_pairs(q, words))
     w_rows, v_rows, wv_rows = (
         np.array(rows, dtype=np.intp)
         for rows in zip(*((row[w], row[v], row[w + v]) for w, v in pairs))
     )
     step = tables[v_rows[:, None], tables[w_rows]]   # h(h(l, w), v)
-    hit = _first(step != tables[wv_rows])
-    wit = None
-    if hit is not None:
-        (w, v), e = pairs[hit[0]], hit[1]
-        wit = f"h({names[e]}, {fmt_word(w)}.{fmt_word(v)})"
-    checks.append(LawCheck("act-composition", wit is None, wit))
+    composition_hit = first(step != tables[wv_rows])
 
-    wit = None
-    for agent in alg.mama.agents:
-        f = np.array(alg.mama.appearance_map(agent).table, dtype=np.intp)
+    miracle_hit = None
+    for agent in view.algebra.mama.agents:
+        f = np.array(view.algebra.mama.appearance_map(agent).table, dtype=np.intp)
         lift = view.lifts[agent]
         lhs = f[tables[[row[w] for w in words]]]
         rhs = np.stack([act(lift.apply(frozenset({w})))[f] for w in words])
-        hit = _first(lhs != rhs if non_paranoid else ~lat.leq[lhs, rhs])
+        hit = first(lhs != rhs if non_paranoid else ~lat.leq[lhs, rhs])
         if hit is not None:
-            wit = f"agent {agent}, word {fmt_word(words[hit[0]])}, at {names[hit[1]]}"
+            miracle_hit = (agent, *hit)
             break
-    checks.append(LawCheck("lifted-no-miracle", wit is None, wit))
+    return unit_hit, join_hit, composition_hit, miracle_hit
 
-    return QuantaleReport(tuple(checks), quantale_report.equalities)
+
+def _mask_laws(view, words, unions, pairs, non_paranoid):
+    """The same first failures on a powerset, by bit operations on masks.
+
+    When the word maps and the appearance maps all preserve joins, so do
+    both sides of each law as functions of l, so bottom and the singletons
+    decide it. They also hold its first witness in element order: a law
+    that fails at l fails at a singleton inside l, whose mask is no larger.
+    Otherwise every element is tried.
+    """
+    q, lat = view.quantale, view.lattice
+    mama = view.algebra.mama
+    tables = {w: m.table for w, m in view.word_maps.items()}
+    appearance = {agent: mama.appearance_map(agent) for agent in mama.agents}
+    domain = range(lat.n)
+    if all(maps.preserves_joins(m) for m in (*view.word_maps.values(), *appearance.values())):
+        domain = [lat.bottom.index] + [e.index for e in lat.join_irreducibles()]
+
+    def act(e, p):
+        out = 0
+        for w in p:
+            out |= tables[w][e]
+        return out
+
+    def act_words(e, p):
+        """h(l, p) as the join of h(l, {w}) over the words w of p."""
+        out = 0
+        for w in p:
+            out |= act(e, frozenset({w}))
+        return out
+
+    unit_hit = next((e for e in domain if act(e, q.unit) != e), None)
+    # column 0 compares bottom with bottom
+    join_hit = next(((e, k) for e in domain for k, p in enumerate(unions, 1)
+                     if act(e, p) != act_words(e, p)), None)
+    composition_hit = next(((i, e) for i, (w, v) in enumerate(pairs) for e in domain
+                            if tables[v][tables[w][e]] != tables[w + v][e]), None)
+
+    miracle_hit = None
+    for agent in mama.agents:
+        f = appearance[agent].table
+        images = [view.lifts[agent].apply(frozenset({w})) for w in words]
+        lhs_rhs = ((i, e, f[tables[w][e]], act(f[e], images[i]))
+                   for i, w in enumerate(words) for e in domain)
+        miracle_hit = next(((agent, i, e) for i, e, lhs, rhs in lhs_rhs
+                            if (lhs != rhs if non_paranoid else lhs & ~rhs)), None)
+        if miracle_hit is not None:
+            break
+    return unit_hit, join_hit, composition_hit, miracle_hit

@@ -1,10 +1,12 @@
 """Shared fixtures and random-structure generators.
 
 The random generators are seeded by the tests that use them, so failures
-reproduce. Lattice sources: powersets (Boolean), chains, downset lattices
-of random posets (distributive by construction), and bounded random posets
-rejection-sampled until every pair has a join and a meet (these routinely
-contain M3/N5, so the non-distributive territory is covered too).
+reproduce. Lattice sources: powersets (Boolean, on bitmasks), their table
+twins (the same powersets built as explicit orders, so they take the table
+path), chains, downset lattices of random posets (distributive by
+construction), and bounded random posets rejection-sampled until every pair
+has a join and a meet (these routinely contain M3/N5, so the
+non-distributive territory is covered too).
 """
 
 from __future__ import annotations
@@ -129,6 +131,42 @@ def random_powerset(rng: random.Random, max_worlds=5) -> FiniteLattice:
     return powerset_lattice([f"w{i}" for i in range(k)])
 
 
+def table_twin(lat: FiniteLattice) -> FiniteLattice:
+    """A powerset built again as an explicit order: labels in mask order and
+    the inclusion pairs. The twin takes the table path, with the same
+    element indices and names."""
+    names = [e.name for e in lat.elements]
+    pairs = [(names[a], names[b]) for a in range(lat.n) for b in range(lat.n) if a & ~b == 0]
+    return build_from_order(names, pairs)
+
+
+def on_twin(m, twin: FiniteLattice):
+    """The map with m's image table and kind, on another carrier."""
+    from adjointkit.maps import LatticeMap
+
+    return LatticeMap(twin, m.table, m.kind)
+
+
+def twin_algebra(alg, twin: FiniteLattice):
+    """A dynamic algebra moved onto the table twin of its carrier, map by
+    map, with no re-validation."""
+    from adjointkit import AdjointPair, DynamicAlgebra
+    from adjointkit.epistemic import MAMA
+
+    def pair(p):
+        return AdjointPair(on_twin(p.left, twin), on_twin(p.right, twin))
+
+    def elements(xs):
+        return tuple(twin.elements[x.index] for x in xs)
+
+    mama = MAMA(twin, {agent: pair(p) for agent, p in alg.mama.pairs.items()})
+    return DynamicAlgebra(
+        mama, alg.actions, {a: pair(p) for a, p in alg.update.items()},
+        alg.action_appearance, elements(alg.facts),
+        {a: elements(k) for a, k in alg.declared_kernels.items()},
+    )
+
+
 def random_chain(rng: random.Random, max_len=8) -> FiniteLattice:
     k = rng.randint(2, max_len)
     labels = [f"c{i}" for i in range(k)]
@@ -191,7 +229,8 @@ def random_bounded_poset(rng: random.Random, max_mid=6) -> FiniteLattice:
 def random_lattice(rng: random.Random) -> FiniteLattice:
     roll = rng.random()
     if roll < 0.30:
-        return random_powerset(rng)
+        lat = random_powerset(rng)
+        return table_twin(lat) if roll < 0.10 else lat
     if roll < 0.45:
         return random_chain(rng)
     if roll < 0.55:

@@ -1,12 +1,16 @@
 """CLI behavior: verdicts, exit codes, output parity between modes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import adjointkit
 from adjointkit import cli, derivation, quantale
 from adjointkit.cli import main
 from adjointkit.derivation import KERNEL_DISCHARGE, ORDER_AXIOM, ProofNode
@@ -106,7 +110,7 @@ SHIPPED = sorted(
 @pytest.mark.parametrize("flags", [[], ["--no-kernel-shortcut"]])
 @pytest.mark.parametrize("scenario", SHIPPED)
 def test_run_json_matches_the_golden_copy(scenario, flags, monkeypatch, capsys):
-    # run from the scenario directory: a build failure reports the path given
+    # run from the scenario directory, as the file name alone
     monkeypatch.chdir(Path(fixture_path(scenario)).parent)
     code = main(["run", scenario, "--json", *flags])
     out, elided = re.subn(r'"timings": \{[^{}]*\}', '"timings": "elided"',
@@ -142,6 +146,60 @@ def test_prove_no_kernel_shortcut(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[NoMiracle]" in out
+
+
+def test_build_error_reports_the_scenario_name(tmp_path, monkeypatch, capsys):
+    # from another directory, by absolute path: the report names the
+    # scenario, not the path it was read from
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", fixture_path("broken-miracle.scn"), "--json"]) == 2
+    out = re.sub(r'"timings": \{[^{}]*\}', '"timings": "elided"', capsys.readouterr().out)
+    assert json.loads(out)["scenario"] == "broken-miracle"
+    assert out == (GOLDEN / "run-broken-miracle.json").read_text()
+
+
+def test_lattice_cap_over_the_ceiling_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("ADJOINT_KIT_MAX_LATTICE", str(2**16 + 1))
+    assert main(["run", fixture_path("coin-honest.scn"), "--json"]) == 2
+    assert "LatticeTooLarge: ADJOINT_KIT_MAX_LATTICE=65537 is over the ceiling of 65536" in (
+        json.loads(capsys.readouterr().out)["build_error"])
+    assert main(["tables", fixture_path("coin-honest.scn"), "f[A]"]) == 2
+    assert "LatticeTooLarge" in capsys.readouterr().err
+
+
+# Every benchmarked shipped command, and a table dump: all on powersets.
+POWERSET_COMMANDS = [
+    *(["run", "--json", name] for name in SHIPPED),
+    ["prove", "coin-lying.scn", "q3", "--no-kernel-shortcut"],
+    ["validate", "coin-lying-model.scn"],
+    ["tables", "muddy-3.scn", "f[C1]"],
+]
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+from adjointkit import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append([argv, code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_powerset_commands_never_import_numpy():
+    # a fresh interpreter, because this test process imports numpy itself
+    src = Path(adjointkit.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(POWERSET_COMMANDS)],
+        cwd=Path(fixture_path("coin-honest.scn")).parent,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    seen = json.loads(proc.stdout)
+    assert [argv for argv, _, _ in seen] == POWERSET_COMMANDS
+    assert [code for _, code, _ in seen] == [2, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert [argv for argv, _, numpy in seen if numpy] == []
 
 
 def test_validate_broken_miracle_exits_two(capsys):

@@ -165,6 +165,57 @@ def test_max_lattice_env_override(monkeypatch):
     assert powerset_lattice([f"w{i}" for i in range(9)]).n == 512
 
 
+def test_max_lattice_env_ceiling(monkeypatch):
+    # the largest carrier either backend builds is a 16-world powerset
+    monkeypatch.setenv("ADJOINT_KIT_MAX_LATTICE", str(2**16))
+    assert lattice_mod.max_elements() == 2**16
+    monkeypatch.setenv("ADJOINT_KIT_MAX_LATTICE", str(2**16 + 1))
+    message = "^ADJOINT_KIT_MAX_LATTICE=65537 is over the ceiling of 65536$"
+    with pytest.raises(LatticeTooLarge, match=message):
+        lattice_mod.max_elements()
+    with pytest.raises(LatticeTooLarge, match=message):
+        powerset_lattice(["a"])
+    with pytest.raises(LatticeTooLarge, match=message):
+        build_from_order(["a"], [])
+
+
+def no_allocation(*args, **kwargs):
+    raise AssertionError("a table was allocated over the limit")
+
+
+def test_table_limit_is_checked_before_any_allocation(monkeypatch):
+    monkeypatch.setenv("ADJOINT_KIT_MAX_LATTICE", "2048")
+    monkeypatch.setattr(np, "eye", no_allocation)
+    monkeypatch.setattr(np, "array", no_allocation)
+    monkeypatch.setattr(lattice_mod, "_transitive_closure", no_allocation)
+    labels = [f"c{i}" for i in range(lattice_mod.MAX_TABLE_ELEMENTS + 1)]
+    message = "^1025 elements exceeds the limit of 1024 for lattice tables$"
+    with pytest.raises(LatticeTooLarge, match=message):
+        build_from_order(labels, zip(labels, labels[1:]))
+    with pytest.raises(LatticeTooLarge, match=message):
+        FiniteLattice(labels, None)
+
+
+def test_powerset_tables_are_built_on_first_access_under_the_limit(monkeypatch):
+    monkeypatch.setenv("ADJOINT_KIT_MAX_LATTICE", "2048")
+    lat = powerset_lattice([f"w{i}" for i in range(11)])
+    monkeypatch.setattr(np, "arange", no_allocation)
+    a, b = lat.subset(["w0", "w3"]), lat.subset(["w3", "w10"])
+    assert lat.join2(a, b) == lat.subset(["w0", "w3", "w10"])
+    assert lat.leq_(lat.meet2(a, b), b) and not lat.leq_(a, b)
+    assert lat.complement(lat.bottom) == lat.top and lat.height == 11
+    for name in ("leq", "join_table", "meet_table"):
+        with pytest.raises(LatticeTooLarge, match="^2048 elements exceeds the limit of 1024"):
+            getattr(lat, name)
+    monkeypatch.undo()
+    small = powerset_lattice(["x", "y"])
+    assert small.leq.tolist() == [[(i & ~j) == 0 for j in range(4)] for i in range(4)]
+    assert small.join_table.tolist() == [[i | j for j in range(4)] for i in range(4)]
+    assert small.meet_table.tolist() == [[i & j for j in range(4)] for i in range(4)]
+    assert small._complements == [3, 2, 1, 0]
+    assert not small.leq.flags.writeable and not small.join_table.flags.writeable
+
+
 def test_element_lookup_adds_no_state(chain3):
     before = set(vars(chain3))
     assert chain3.element("mid").name == "mid"

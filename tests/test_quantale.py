@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from adjointkit import (
+    JOIN_PRESERVING,
     ActionLabel,
     ActionQuantale,
     GeneratorMismatch,
@@ -30,7 +31,7 @@ from adjointkit.quantale import (
     fmt_q,
     fmt_word,
 )
-from conftest import honest_coin_model
+from conftest import honest_coin_model, on_twin, random_join_map, table_twin, twin_algebra
 
 
 @pytest.fixture
@@ -176,6 +177,18 @@ def test_act_composition_is_sequencing():
     word = q.element([("a", "abar")])
     for e in lat.elements:
         assert view.act(e, word) == alg.update_map("abar")(alg.update_map("a")(e))
+    # updates that need not commute: every word applies its letters in order
+    rng = random.Random(44)
+    for _ in range(20):
+        alg = random_informed_model(rng)
+        view = indexed_to_binary(alg, ActionQuantale(alg.actions, 3))
+        for w, m in view.word_maps.items():
+            for e in alg.lattice.elements:
+                x = e
+                for letter in w:
+                    x = alg.update_map(letter)(x)
+                assert m(e) == x
+            assert m.kind == JOIN_PRESERVING
 
 
 def test_round_trip_restores_generators():
@@ -415,11 +428,14 @@ def corrupt_view(rng, alg, q):
     if kind in ("maps", "both"):
         for _ in range(rng.randint(1, 2)):
             w = () if rng.random() < 0.25 else rng.choice(words)
-            if rng.random() < 0.5:
+            roll = rng.random()
+            if roll < 0.4:
                 word_maps[w] = word_maps[rng.choice(words)]
-            else:
+            elif roll < 0.7:
                 word_maps[w] = LatticeMap(alg.lattice, [rng.randrange(alg.lattice.n)
                                                         for _ in range(alg.lattice.n)])
+            else:
+                word_maps[w] = random_join_map(rng, alg.lattice)
     if kind in ("lifts", "both"):
         for _ in range(rng.randint(1, 2)):
             agent = rng.choice(sorted(lifts))
@@ -430,16 +446,28 @@ def corrupt_view(rng, alg, q):
     return EpistemicSystemView(alg, q, lifts=lifts, word_maps=word_maps)
 
 
+def twin_view(view):
+    """The view moved onto the table twin of its powerset carrier."""
+    twin = table_twin(view.lattice)
+    word_maps = {w: on_twin(m, twin) for w, m in view.word_maps.items()}
+    return EpistemicSystemView(twin_algebra(view.algebra, twin), view.quantale,
+                               lifts=view.lifts, word_maps=word_maps)
+
+
 def test_table_checks_match_the_act_loops():
+    # the models live on powersets, checked by bit operations; their table
+    # twins take the numpy path, and both must agree with the act loops
     rng = random.Random(20261018)
     failing = Counter()
     for _ in range(150):
         alg = rng.choice([random_product_update, random_informed_model])(rng)
         q = ActionQuantale(alg.actions, rng.randint(1, 3))
         view = corrupt_view(rng, alg, q)
+        twin = twin_view(view)
         for non_paranoid in (False, True):
             report = check_epistemic_system(view, non_paranoid)
             assert report.checks == reference_epistemic_system(view, non_paranoid)
+            assert check_epistemic_system(twin, non_paranoid) == report
             quantale_report = check_epistemic_quantale(q, view.lifts, non_paranoid)
             assert quantale_report.checks == reference_epistemic_quantale(
                 q, view.lifts, non_paranoid)
