@@ -131,20 +131,26 @@ def random_powerset(rng: random.Random, max_worlds=5) -> FiniteLattice:
     return powerset_lattice([f"w{i}" for i in range(k)])
 
 
-def table_twin(lat: FiniteLattice) -> FiniteLattice:
-    """A powerset built again as an explicit order: labels in mask order and
-    the inclusion pairs. The twin takes the table path, with the same
-    element indices and names."""
+def table_twin(lat: FiniteLattice, masks=None) -> FiniteLattice:
+    """A powerset built again as an explicit order: labels in mask order, or
+    in the order of the given masks, and the inclusion pairs. The twin takes
+    the table path, with the same element names; in mask order, also with
+    the same element indices."""
     names = [e.name for e in lat.elements]
     pairs = [(names[a], names[b]) for a in range(lat.n) for b in range(lat.n) if a & ~b == 0]
-    return build_from_order(names, pairs)
+    return build_from_order([names[m] for m in (masks or range(lat.n))], pairs)
 
 
 def on_twin(m, twin: FiniteLattice):
-    """The map with m's image table and kind, on another carrier."""
+    """The map with m's images and kind, on a carrier with the same element
+    names."""
     from adjointkit.maps import LatticeMap
 
-    return LatticeMap(twin, m.table, m.kind)
+    src = m.lattice
+    table = [0] * twin.n
+    for e in src.elements:
+        table[twin.element(e.name).index] = twin.element(src.elements[m.table[e.index]].name).index
+    return LatticeMap(twin, table, m.kind)
 
 
 def twin_algebra(alg, twin: FiniteLattice):
@@ -157,7 +163,7 @@ def twin_algebra(alg, twin: FiniteLattice):
         return AdjointPair(on_twin(p.left, twin), on_twin(p.right, twin))
 
     def elements(xs):
-        return tuple(twin.elements[x.index] for x in xs)
+        return tuple(twin.element(x.name) for x in xs)
 
     mama = MAMA(twin, {agent: pair(p) for agent, p in alg.mama.pairs.items()})
     return DynamicAlgebra(

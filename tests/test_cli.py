@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import adjointkit
-from adjointkit import cli, derivation, quantale
+from adjointkit import cli, derivation, dynamics, quantale
 from adjointkit.cli import main
 from adjointkit.derivation import KERNEL_DISCHARGE, ORDER_AXIOM, ProofNode
 from adjointkit.terms import parse_entailment
@@ -49,16 +49,34 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys):
         calls.append(inst.doc.name)
         return original(inst, flags)
 
+    # the build rejects a no-miracle violation, on the same domain, so the
+    # axiom pass reports its verdict without checking again
+    no_miracle_calls = []
+    no_miracle = dynamics.DynamicAlgebra.no_miracle_violations
+
+    def counted_no_miracle(self, full_lattice=False):
+        no_miracle_calls.append(full_lattice)
+        return no_miracle(self, full_lattice)
+
     monkeypatch.setattr(cli, "_axiom_checks", counted)
+    monkeypatch.setattr(dynamics.DynamicAlgebra, "no_miracle_violations", counted_no_miracle)
     path = fixture_path("coin-lying-model.scn")
     assert main(["run", path, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert [v["kind"] for v in data["verdicts"]].count("validate-axioms") == 1
     assert calls == ["coin-lying-model"]
+    assert no_miracle_calls == [False]
     # a single validate-axioms query runs the pass on demand
     query_id = next(v["id"] for v in data["verdicts"] if v["kind"] == "validate-axioms")
     assert main(["query", path, query_id]) == 0
     assert calls == ["coin-lying-model"] * 2
+    capsys.readouterr()
+    no_miracle_calls.clear()
+    assert main(["run", path, "--json", "--full-lattice-axioms"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert no_miracle_calls == [True]
+    row = next(a for a in data["axioms"] if a["name"] == "no-miracle")
+    assert (row["ok"], row["detail"]) == (True, "")
 
 
 def test_word_bound_over_the_cap_exits_two(monkeypatch, capsys):
@@ -86,6 +104,19 @@ def test_depth_flag_below_one_is_rejected(depth, capsys):
     assert main(["prove", fixture_path("coin-lying.scn"), "q3", f"--depth={depth}"]) == 3
     captured = capsys.readouterr()
     assert f"--depth must be at least 1, not {depth}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("bound", ["0", "-2"])
+@pytest.mark.parametrize("scenario", ["coin-lying-model.scn", "muddy-3.scn"])
+def test_word_bound_below_one_is_rejected(scenario, bound, monkeypatch, capsys):
+    def no_parse(path):
+        raise AssertionError("the scenario was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "_parse", no_parse)
+    assert main(["validate", fixture_path(scenario), f"--word-bound={bound}"]) == 3
+    captured = capsys.readouterr()
+    assert f"--word-bound must be at least 1, not {bound}" in captured.err
     assert "Traceback" not in captured.err
 
 

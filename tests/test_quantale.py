@@ -23,11 +23,10 @@ from adjointkit import (
     lift_action_appearance,
     powerset_lattice,
 )
-from adjointkit.maps import LatticeMap
+from adjointkit.maps import LatticeMap, preserves_joins
 from adjointkit.quantale import (
     EpistemicSystemView,
     LawCheck,
-    _canonical_unions,
     fmt_q,
     fmt_word,
 )
@@ -276,14 +275,63 @@ def test_free_monoid_laws_on_composable_triples(generators, bound):
         ("unit-law", True, None),
         ("compose-distributes-over-union", True, None),
     ]
+    assert report.checks == reference_quantale_laws(q)
 
 
 # -- table-based system laws against the act loops ---------------------------------
 
 
+def _canonical_unions(q):
+    """Small deterministic family of non-singleton elements for union laws."""
+    words = q.words()
+    fam = [q.bottom, q.unit, frozenset(words)]
+    for i in range(len(words) - 1):
+        fam.append(frozenset({words[i], words[i + 1]}))
+    return fam
+
+
+def reference_quantale_laws(q):
+    """check_quantale_laws as loops: associativity on every composable word
+    triple, the unit laws and distribution over union on the canonical
+    unions."""
+    words = q.words()
+    wit = None
+    for w, v, u in product(words, repeat=3):
+        if len(w) + len(v) + len(u) > q.max_word_length:
+            continue
+        a, b, c = (frozenset({x}) for x in (w, v, u))
+        if q.compose(q.compose(a, b), c) != q.compose(a, q.compose(b, c)):
+            wit = f"({fmt_word(w)}, {fmt_word(v)}, {fmt_word(u)})"
+            break
+    checks = [LawCheck("compose-associative", wit is None, wit)]
+
+    wit = None
+    for p in _canonical_unions(q):
+        if q.compose(q.unit, p) != p or q.compose(p, q.unit) != p:
+            wit = fmt_q(p)
+            break
+    checks.append(LawCheck("unit-law", wit is None, wit))
+
+    wit = None
+    for p in _canonical_unions(q):
+        longest = max((len(w) for w in p), default=0)
+        for v in words:
+            if len(v) + longest > q.max_word_length:
+                continue
+            s = frozenset({v})
+            rhs = q.join(*(q.compose(s, frozenset({w})) for w in p))
+            if q.compose(s, p) != rhs:
+                wit = f"{fmt_q(s)} . {fmt_q(p)}"
+                break
+        if wit:
+            break
+    checks.append(LawCheck("compose-distributes-over-union", wit is None, wit))
+    return tuple(checks)
+
+
 def reference_epistemic_quantale(q, lifts, non_paranoid=False):
     """check_epistemic_quantale as one loop per mode, judged through apply."""
-    checks = list(check_quantale_laws(q).checks)
+    checks = list(reference_quantale_laws(q))
     for agent, lift in lifts.items():
         wit = None
         for p in _canonical_unions(q):
@@ -446,17 +494,18 @@ def corrupt_view(rng, alg, q):
     return EpistemicSystemView(alg, q, lifts=lifts, word_maps=word_maps)
 
 
-def twin_view(view):
-    """The view moved onto the table twin of its powerset carrier."""
-    twin = table_twin(view.lattice)
+def twin_view(view, masks=None):
+    """The view moved onto the table twin of its powerset carrier, its
+    elements listed in mask order or in the order of the given masks."""
+    twin = table_twin(view.lattice, masks)
     word_maps = {w: on_twin(m, twin) for w, m in view.word_maps.items()}
     return EpistemicSystemView(twin_algebra(view.algebra, twin), view.quantale,
                                lifts=view.lifts, word_maps=word_maps)
 
 
 def test_table_checks_match_the_act_loops():
-    # the models live on powersets, checked by bit operations; their table
-    # twins take the numpy path, and both must agree with the act loops
+    # the models live on powersets and their table twins on explicit orders;
+    # on both carriers the checker must agree with the act loops
     rng = random.Random(20261018)
     failing = Counter()
     for _ in range(150):
@@ -481,7 +530,69 @@ def test_table_checks_match_the_act_loops():
     for row in ("act-unit", "act-composition", "lifted-no-miracle", "unit-inclusion",
                 "unit-equality", "compose-lax", "compose-equality"):
         assert failing[row] >= 5, (row, failing)
-    # h(l, -) and f'_A are pointwise extensions of their word images, so these
-    # laws hold by definition, whatever the images are
+    # h(l, -) and f'_A are pointwise extensions of their word images, and words
+    # form a free monoid, so these laws hold by definition, whatever the images
+    # are: the act loops of the reference never fail them either
     assert not failing.keys() & {"act-join-law", "lift-join-preserving", "compose-associative",
                                  "unit-law", "compose-distributes-over-union"}
+
+
+def witness_element(check):
+    """The element named by the witness of a failing module-law row."""
+    if check.name == "act-unit":
+        return check.witness
+    if check.name == "act-composition":
+        return check.witness[2:].split(", ")[0]    # h(l, w.v)
+    return check.witness.rsplit(" at ", 1)[1]      # agent A, word w, at l
+
+
+def test_system_witnesses_follow_index_order_on_a_scrambled_carrier():
+    # the powerset listed top first, the rest shuffled, as an explicit order:
+    # index order is no linear extension, so a failing law's first element in
+    # index order need not be join-irreducible
+    rng = random.Random(918)
+    scanned = 0
+    for _ in range(100):
+        alg = rng.choice([random_product_update, random_informed_model])(rng)
+        q = ActionQuantale(alg.actions, rng.randint(1, 3))
+        view = corrupt_view(rng, alg, q)
+        masks = list(range(view.lattice.n - 1))
+        rng.shuffle(masks)
+        scrambled = twin_view(view, [view.lattice.n - 1, *masks])
+        lat = scrambled.lattice
+        assert lat.elements[0] == lat.top
+        mama = scrambled.algebra.mama
+        join_preserving = all(preserves_joins(m) for m in (
+            *scrambled.word_maps.values(), *map(mama.appearance_map, mama.agents)))
+        irreducibles = {e.name for e in lat.join_irreducibles()}
+        for non_paranoid in (False, True):
+            report = check_epistemic_system(scrambled, non_paranoid)
+            assert report.checks == reference_epistemic_system(scrambled, non_paranoid)
+            if join_preserving:
+                scanned += any(
+                    witness_element(c) not in irreducibles for c in report.failures()
+                    if c.name in ("act-unit", "act-composition", "lifted-no-miracle"))
+    # bottom and the irreducibles decide these laws, but their first witnesses
+    # in index order are other elements
+    assert scanned >= 5, scanned
+
+
+def test_maps_that_do_not_preserve_joins_are_judged_on_every_element():
+    # each word map in turn agrees with the true one on bottom and the
+    # irreducibles but not at top: the irreducibles no longer decide the laws
+    alg = honest_coin_model()
+    lat = alg.lattice
+    q = ActionQuantale(["a"], 2)
+    view = indexed_to_binary(alg, q)
+    for w in q.words():
+        table = list(view.word_maps[w].table)
+        top = lat.top.index
+        table[top] = lat.bottom.index if table[top] != lat.bottom.index else top
+        word_maps = {**view.word_maps, w: LatticeMap(lat, table)}
+        bad = EpistemicSystemView(alg, q, lifts=view.lifts, word_maps=word_maps)
+        top_first = twin_view(bad, [top, *range(top)])
+        for v in (bad, top_first):
+            for non_paranoid in (False, True):
+                report = check_epistemic_system(v, non_paranoid)
+                assert report.checks == reference_epistemic_system(v, non_paranoid)
+                assert not report.ok, (w, non_paranoid)
