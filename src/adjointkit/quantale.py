@@ -7,25 +7,38 @@ the singleton empty word. Compositions that would leave the carrier raise
 WordLengthExceeded; nothing is silently truncated.
 
 Agent appearance lifts to words letterwise and to sets pointwise, and the
-action h(l, q) is the join of the word images h(l, {w}) over the words w
-of q. Five report rows therefore hold by definition, and are emitted as
-constant ok rows under their names: compose-associative, unit-law and
-compose-distributes-over-union are facts of the free monoid, and
-lift-join-preserving[A] and act-join-law each compare two folds of the
-same word images. The laws that can fail (the lifts' unit and composition
-laws, act-unit, act-composition and lifted no-miracle) are checked at word
-granularity: for join-preserving lifts and a join-preserving action, word
-coverage implies the general laws, and enumerating the full powerset
-carrier would be hopeless already at two generators.
+action h(l, q) joins, over the words of q, the letters' update maps applied
+in turn (product update: Baltag, Moss and Solecki, TARK 1998). On that view
+every system law but one holds by definition, and check_epistemic_system
+emits each as a constant ok row under its name: compose-associative,
+unit-law and compose-distributes-over-union are facts of the free monoid;
+lift-join-preserving[A] and act-join-law compare two folds of the same
+word images; a letterwise lift is a monoid homomorphism, so its unit and
+composition laws (unit-inclusion/unit-equality[A], compose-lax/
+compose-equality[A]) hold; act-unit and act-composition restate how act
+applies a word.
+
+The one law that can fail is lifted no-miracle, f_A h(l, w) <= h(f_A(l),
+f'_A(w)), or its equality form. By induction on the word, with a' and w'
+the agent's appearances of a and w and h_a' monotone,
+
+    f(h_a(h_w l)) <= h_a'(f(h_w l)) <= h_a'(h_w'(f l)),
+
+so a word fails only if one of its letters fails for the same agent, and
+the law is decided on one-letter words. When the update and appearance
+maps preserve joins, so do both sides as functions of l, and bottom and
+the join-irreducibles decide it. check_epistemic_quantale still judges the
+lift laws of arbitrary (paranoid) QuantaleLifts.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import GeneratorMismatch, UnknownAction, WordLengthExceeded
+from .errors import GeneratorMismatch, NotJoinPreserving, UnknownAction, WordLengthExceeded
 from .dynamics import DynamicAlgebra
 from .lattice import Element
 from . import maps
@@ -262,23 +275,11 @@ class EpistemicSystemView:
     """The two-sorted presentation: act(l, q) joins, over the words in q,
     the sequential application of the letters' update maps."""
 
-    def __init__(self, alg: DynamicAlgebra, q: ActionQuantale,
-                 lifts: dict[str, QuantaleLift] | None = None,
-                 word_maps: dict | None = None):
+    def __init__(self, alg: DynamicAlgebra, q: ActionQuantale):
         if set(q.generators) != set(alg.actions):
             raise GeneratorMismatch("quantale generators must coincide with the algebra's actions")
         self.algebra = alg
         self.quantale = q
-        self.lifts = lifts if lifts is not None else lift_action_appearance(alg, q)
-        if word_maps is None:
-            # words() lists shortest first, so each word's prefix is ready
-            word_maps = {}
-            for w in q.words():
-                word_maps[w] = (
-                    maps.compose(alg.update_map(w[-1]), word_maps[w[:-1]]) if w
-                    else maps.identity_map(alg.lattice, maps.JOIN_PRESERVING)
-                )
-        self.word_maps = dict(word_maps)
 
     @property
     def lattice(self):
@@ -286,7 +287,13 @@ class EpistemicSystemView:
 
     def act(self, l: Element, q: QElement) -> Element:
         """h(l, q); the empty set of words acts as bottom."""
-        return self.lattice.join(self.word_maps[w](l) for w in q)
+        images = []
+        for w in q:
+            x = l
+            for letter in w:
+                x = self.algebra.update_map(letter)(x)
+            images.append(x)
+        return self.lattice.join(images)
 
 
 def indexed_to_binary(alg: DynamicAlgebra, q: ActionQuantale) -> EpistemicSystemView:
@@ -313,73 +320,74 @@ def binary_to_indexed(view: EpistemicSystemView) -> DynamicAlgebra:
     )
 
 
-def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False) -> QuantaleReport:
-    """Module laws of the epistemic system plus the underlying axioms.
+def _lifted_no_miracle(view: EpistemicSystemView) -> tuple[str | None, str | None]:
+    """First witnesses against lifted no-miracle, lax and as an equality,
+    judged in one pass over the letters at bottom and the join-irreducibles.
+    A failing letter takes its witness from a scan of every element in
+    index order. Agents go in order and letters in generator order, as
+    words() lists them, so this is the first failing word's witness."""
+    alg, q, lat = view.algebra, view.quantale, view.lattice
+    update = {a: alg.update_map(a) for a in q.generators}
+    appearance = {agent: alg.mama.appearance_map(agent) for agent in alg.mama.agents}
+    for name, m in [*((f"upd[{a}]", m) for a, m in update.items()),
+                    *((f"f[{agent}]", m) for agent, m in appearance.items())]:
+        if not maps.preserves_joins(m):
+            raise NotJoinPreserving(
+                f"the epistemic-system check needs join-preserving maps; {name} is not"
+            )
 
-    Checks h(l, 1) = l, the composition law h(l, w.v) = h(h(l, w), v) on all
-    composable word pairs, the lifted no-miracle inequality
-    f_A h(l, w) <= h(f_A(l), f'_A(w)) (an equality when non_paranoid), and
-    folds in the epistemic-quantale report. A full pass certifies the pair.
-    act-join-law, h(l, 0) = bottom and h(l, p \\/ p') = h(l, p) \\/ h(l, p'),
-    is a constant ok row: act joins the word images of its argument, so the
-    law holds by definition.
+    def above(x, y):
+        return not lat.leq_(x, y)
 
-    Each law is read off the word maps' index tables, with the same verdicts
-    and first witnesses as a loop over act. When every word map and every
-    appearance map preserves joins, so do both sides of each law as
-    functions of l; every element is the join of the join-irreducibles
-    below it, so bottom and the join-irreducibles decide the law, the
-    inequality too. Otherwise every element decides it. A law that fails
-    takes its first witness from a scan in index order, which need not
-    extend the lattice order.
-    """
-    q, lat = view.quantale, view.lattice
-    quantale_report = check_epistemic_quantale(q, view.lifts, non_paranoid)
-    checks = list(quantale_report.checks)
-
-    words = q.words()
-    mama = view.algebra.mama
-    elements = lat.elements
-    tables = {w: m.table for w, m in view.word_maps.items()}
-    appearance = {agent: mama.appearance_map(agent) for agent in mama.agents}
-    domain = range(lat.n)
-    if all(maps.preserves_joins(m) for m in (*view.word_maps.values(), *appearance.values())):
-        domain = [lat.bottom.index] + [e.index for e in lat.join_irreducibles()]
-
-    def first_failure(fails):
-        """The first element in index order at which a law fails, or None."""
-        if any(fails(e) for e in domain):
-            return elements[next(e for e in range(lat.n) if fails(e))]
-        return None
-
-    at = first_failure(lambda e: tables[()][e] != e)
-    checks.append(LawCheck("act-unit", at is None, None if at is None else at.name))
-    checks.append(LawCheck("act-join-law", True))
-
-    wit = None
-    for w, v in _composable_pairs(q, words):
-        at = first_failure(lambda e: tables[v][tables[w][e]] != tables[w + v][e])
-        if at is not None:
-            wit = f"h({at.name}, {fmt_word(w)}.{fmt_word(v)})"
-            break
-    checks.append(LawCheck("act-composition", wit is None, wit))
-
-    wit = None
+    lax = equal = None
+    domain = [lat.bottom, *lat.join_irreducibles()]
     for agent, f in appearance.items():
-        for w in words:
-            seen = view.lifts[agent].apply(frozenset({w}))
+        for a in q.generators:
+            h, seen = update[a], update[alg.appeared_action(agent, a)]
 
-            def fails(e):
-                lhs = elements[f.table[tables[w][e]]]
-                rhs = lat.join(elements[tables[u][f.table[e]]] for u in seen)
-                return lhs != rhs if non_paranoid else not lat.leq_(lhs, rhs)
+            def witness(fails):
+                at = next(l for l in lat.elements if fails(f(h(l)), seen(f(l))))
+                return f"agent {agent}, word {fmt_word((a,))}, at {at.name}"
 
-            at = first_failure(fails)
-            if at is not None:
-                wit = f"agent {agent}, word {fmt_word(w)}, at {at.name}"
-                break
-        if wit:
-            break
-    checks.append(LawCheck("lifted-no-miracle", wit is None, wit))
+            sides = [(f(h(l)), seen(f(l))) for l in domain]
+            if equal is None and any(x != y for x, y in sides):
+                equal = witness(operator.ne)
+            if any(above(x, y) for x, y in sides):
+                return witness(above), equal
+    return None, equal
 
-    return QuantaleReport(tuple(checks), quantale_report.equalities)
+
+def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False) -> QuantaleReport:
+    """Module laws of the epistemic system plus the epistemic-quantale laws
+    of the letterwise lifts. A full pass certifies the pair.
+
+    Every row holds by definition on the view (see the module docstring)
+    and is a constant ok row, except lifted no-miracle, f_A h(l, w) <=
+    h(f_A(l), f'_A(w)) (an equality when non_paranoid), which is decided on
+    the letters; that needs join-preserving update and appearance maps, and
+    others raise NotJoinPreserving. The rows, in order: those of
+    check_quantale_laws; per agent, lift-join-preserving and the lift's unit
+    and composition laws; act-unit, h(l, 1) = l; act-join-law, h(l, 0) =
+    bottom and h(l, p \\/ p') = h(l, p) \\/ h(l, p'); act-composition,
+    h(l, w.v) = h(h(l, w), v); lifted-no-miracle.
+
+    Both modes are judged in one pass; a lax report carries the rows of
+    the epistemic-quantale equalities as its `equalities` report.
+    """
+    laws = check_quantale_laws(view.quantale).checks
+    lax, equal = _lifted_no_miracle(view)
+
+    def lift_rows(unit, compose):
+        return tuple(LawCheck(f"{name}[{agent}]", True) for agent in view.algebra.mama.agents
+                     for name in ("lift-join-preserving", unit, compose))
+
+    def report(lifts, wit, equalities=None):
+        module = [LawCheck(name, True) for name in ("act-unit", "act-join-law", "act-composition")]
+        no_miracle = LawCheck("lifted-no-miracle", wit is None, wit)
+        return QuantaleReport((*laws, *lifts, *module, no_miracle), equalities)
+
+    equal_lifts = lift_rows("unit-equality", "compose-equality")
+    if non_paranoid:
+        return report(equal_lifts, equal)
+    return report(lift_rows("unit-inclusion", "compose-lax"), lax,
+                  QuantaleReport(laws + equal_lifts))

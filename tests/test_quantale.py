@@ -1,16 +1,19 @@
 """Bounded word quantale, appearance lifts, and the epistemic-system view."""
 
 import random
+import re
 from collections import Counter
 from itertools import product
 
 import pytest
 
 from adjointkit import (
-    JOIN_PRESERVING,
     ActionLabel,
     ActionQuantale,
+    AdjointPair,
+    DynamicAlgebra,
     GeneratorMismatch,
+    NotJoinPreserving,
     QuantaleLift,
     WordLengthExceeded,
     binary_to_indexed,
@@ -22,8 +25,10 @@ from adjointkit import (
     indexed_to_binary,
     lift_action_appearance,
     powerset_lattice,
+    right_adjoint,
 )
-from adjointkit.maps import LatticeMap, preserves_joins
+from adjointkit.epistemic import MAMA
+from adjointkit.maps import LatticeMap
 from adjointkit.quantale import (
     EpistemicSystemView,
     LawCheck,
@@ -180,14 +185,14 @@ def test_act_composition_is_sequencing():
     rng = random.Random(44)
     for _ in range(20):
         alg = random_informed_model(rng)
-        view = indexed_to_binary(alg, ActionQuantale(alg.actions, 3))
-        for w, m in view.word_maps.items():
+        q = ActionQuantale(alg.actions, 3)
+        view = indexed_to_binary(alg, q)
+        for w in q.words():
             for e in alg.lattice.elements:
                 x = e
                 for letter in w:
                     x = alg.update_map(letter)(x)
-                assert m(e) == x
-            assert m.kind == JOIN_PRESERVING
+                assert view.act(e, frozenset({w})) == x
 
 
 def test_round_trip_restores_generators():
@@ -212,18 +217,6 @@ def test_epistemic_system_degenerate_identity(coin2):
     alg = build_dynamic_algebra(mama, ["a"], updates)
     report = check_epistemic_system(indexed_to_binary(alg, ActionQuantale(["a"], 3)))
     assert report.ok
-
-
-def test_corrupted_act_caught():
-    alg = honest_coin_model()
-    q = ActionQuantale(["a"], 2)
-    view = indexed_to_binary(alg, q)
-    word_maps = dict(view.word_maps)
-    word_maps[("a", "a")] = word_maps[("a",)]  # act(l, a.a) := act(l, a)
-    bad = EpistemicSystemView(alg, q, lifts=view.lifts, word_maps=word_maps)
-    report = check_epistemic_system(bad)
-    assert not report.ok
-    assert any(c.name == "act-composition" for c in report.failures())
 
 
 # -- word cap ----------------------------------------------------------------------
@@ -367,9 +360,11 @@ def reference_epistemic_quantale(q, lifts, non_paranoid=False):
 
 
 def reference_epistemic_system(view, non_paranoid=False):
-    """check_epistemic_system as element loops over view.act."""
+    """check_epistemic_system as element loops over view.act, on every
+    composable word pair and every word."""
     alg, q, lat = view.algebra, view.quantale, view.lattice
-    checks = list(reference_epistemic_quantale(q, view.lifts, non_paranoid))
+    lifts = lift_action_appearance(alg, q)
+    checks = list(reference_epistemic_quantale(q, lifts, non_paranoid))
 
     wit = None
     for e in lat.elements:
@@ -407,7 +402,7 @@ def reference_epistemic_system(view, non_paranoid=False):
     wit = None
     for agent in alg.mama.agents:
         f = alg.mama.appearance_map(agent)
-        seen_of = view.lifts[agent]
+        seen_of = lifts[agent]
         for w in q.words():
             seen = seen_of.apply(frozenset({w}))
             for e in lat.elements:
@@ -467,132 +462,130 @@ def random_informed_model(rng):
     return build_dynamic_algebra(build_mama(lat, agents), actions, updates)
 
 
-def corrupt_view(rng, alg, q):
-    """The system view of alg, with some word maps or word lifts replaced."""
-    view = indexed_to_binary(alg, q)
-    words = q.words()
-    word_maps, lifts = dict(view.word_maps), dict(view.lifts)
-    kind = rng.choice(["none", "maps", "lifts", "both"])
-    if kind in ("maps", "both"):
-        for _ in range(rng.randint(1, 2)):
-            w = () if rng.random() < 0.25 else rng.choice(words)
-            roll = rng.random()
-            if roll < 0.4:
-                word_maps[w] = word_maps[rng.choice(words)]
-            elif roll < 0.7:
-                word_maps[w] = LatticeMap(alg.lattice, [rng.randrange(alg.lattice.n)
-                                                        for _ in range(alg.lattice.n)])
-            else:
-                word_maps[w] = random_join_map(rng, alg.lattice)
-    if kind in ("lifts", "both"):
-        for _ in range(rng.randint(1, 2)):
-            agent = rng.choice(sorted(lifts))
-            images = dict(lifts[agent].word_images)
-            w = () if rng.random() < 0.25 else rng.choice(words)
-            images[w] = frozenset(rng.sample(words, rng.randint(0, 2)))
-            lifts[agent] = QuantaleLift(q, images)
-    return EpistemicSystemView(alg, q, lifts=lifts, word_maps=word_maps)
+def unvalidated_algebra(rng, alg):
+    """alg with one or two update or appearance maps replaced by random
+    join-preserving ones, and maybe a new action appearance, with no
+    validation: lifted no-miracle may fail, lax or only as an equality."""
+    lat = alg.lattice
+    update, pairs = dict(alg.update), dict(alg.mama.pairs)
+    for _ in range(rng.randint(1, 2)):
+        table = update if rng.random() < 0.5 else pairs
+        table[rng.choice(sorted(table))] = right_adjoint(random_join_map(rng, lat))
+    appearance = alg.action_appearance
+    if rng.random() < 0.3:
+        actions = sorted(alg.actions)
+        appearance = {agent: {a: rng.choice(actions) for a in actions} for agent in pairs}
+    return DynamicAlgebra(MAMA(lat, pairs), alg.actions, update, appearance, alg.facts)
+
+
+def corrupt_lifts(rng, q, lifts):
+    """lifts with one or two word images replaced: the lift laws may fail."""
+    words, lifts = q.words(), dict(lifts)
+    for _ in range(rng.randint(1, 2)):
+        agent = rng.choice(sorted(lifts))
+        images = dict(lifts[agent].word_images)
+        w = () if rng.random() < 0.25 else rng.choice(words)
+        images[w] = frozenset(rng.sample(words, rng.randint(0, 2)))
+        lifts[agent] = QuantaleLift(q, images)
+    return lifts
 
 
 def twin_view(view, masks=None):
     """The view moved onto the table twin of its powerset carrier, its
     elements listed in mask order or in the order of the given masks."""
     twin = table_twin(view.lattice, masks)
-    word_maps = {w: on_twin(m, twin) for w, m in view.word_maps.items()}
-    return EpistemicSystemView(twin_algebra(view.algebra, twin), view.quantale,
-                               lifts=view.lifts, word_maps=word_maps)
+    return EpistemicSystemView(twin_algebra(view.algebra, twin), view.quantale)
+
+
+def witness_element(check):
+    """The element named by the witness of a failing lifted-no-miracle row."""
+    return check.witness.rsplit(" at ", 1)[1]      # agent A, word w, at l
 
 
 def test_table_checks_match_the_act_loops():
-    # the models live on powersets and their table twins on explicit orders;
-    # on both carriers the checker must agree with the act loops
+    # built models and unvalidated ones, on their powerset, its table twin in
+    # mask order and a scrambled explicit order (top first, the rest
+    # shuffled, so index order is no linear extension); on each, the checker
+    # must agree with the act loops, in both modes
     rng = random.Random(20261018)
     failing = Counter()
+    scanned = 0
     for _ in range(150):
         alg = rng.choice([random_product_update, random_informed_model])(rng)
+        if rng.random() < 0.7:
+            alg = unvalidated_algebra(rng, alg)
         q = ActionQuantale(alg.actions, rng.randint(1, 3))
-        view = corrupt_view(rng, alg, q)
-        twin = twin_view(view)
+        view = indexed_to_binary(alg, q)
+        masks = list(range(view.lattice.n - 1))
+        rng.shuffle(masks)
+        twin, scrambled = twin_view(view), twin_view(view, [view.lattice.n - 1, *masks])
+        assert scrambled.lattice.elements[0] == scrambled.lattice.top
+        irreducibles = {e.name for e in scrambled.lattice.join_irreducibles()}
         for non_paranoid in (False, True):
             report = check_epistemic_system(view, non_paranoid)
             assert report.checks == reference_epistemic_system(view, non_paranoid)
             assert check_epistemic_system(twin, non_paranoid) == report
-            quantale_report = check_epistemic_quantale(q, view.lifts, non_paranoid)
-            assert quantale_report.checks == reference_epistemic_quantale(
-                q, view.lifts, non_paranoid)
-            if non_paranoid:
-                assert report.equalities is None
-            else:
-                # the equality verdicts of the non-paranoid-equalities row
-                assert report.equalities.checks == reference_epistemic_quantale(
-                    q, view.lifts, True)
-            failing.update(c.name.split("[")[0] for c in report.failures())
-    for row in ("act-unit", "act-composition", "lifted-no-miracle", "unit-inclusion",
-                "unit-equality", "compose-lax", "compose-equality"):
-        assert failing[row] >= 5, (row, failing)
-    # h(l, -) and f'_A are pointwise extensions of their word images, and words
-    # form a free monoid, so these laws hold by definition, whatever the images
-    # are: the act loops of the reference never fail them either
-    assert not failing.keys() & {"act-join-law", "lift-join-preserving", "compose-associative",
-                                 "unit-law", "compose-distributes-over-union"}
-
-
-def witness_element(check):
-    """The element named by the witness of a failing module-law row."""
-    if check.name == "act-unit":
-        return check.witness
-    if check.name == "act-composition":
-        return check.witness[2:].split(", ")[0]    # h(l, w.v)
-    return check.witness.rsplit(" at ", 1)[1]      # agent A, word w, at l
-
-
-def test_system_witnesses_follow_index_order_on_a_scrambled_carrier():
-    # the powerset listed top first, the rest shuffled, as an explicit order:
-    # index order is no linear extension, so a failing law's first element in
-    # index order need not be join-irreducible
-    rng = random.Random(918)
-    scanned = 0
-    for _ in range(100):
-        alg = rng.choice([random_product_update, random_informed_model])(rng)
-        q = ActionQuantale(alg.actions, rng.randint(1, 3))
-        view = corrupt_view(rng, alg, q)
-        masks = list(range(view.lattice.n - 1))
-        rng.shuffle(masks)
-        scrambled = twin_view(view, [view.lattice.n - 1, *masks])
-        lat = scrambled.lattice
-        assert lat.elements[0] == lat.top
-        mama = scrambled.algebra.mama
-        join_preserving = all(preserves_joins(m) for m in (
-            *scrambled.word_maps.values(), *map(mama.appearance_map, mama.agents)))
-        irreducibles = {e.name for e in lat.join_irreducibles()}
-        for non_paranoid in (False, True):
-            report = check_epistemic_system(scrambled, non_paranoid)
-            assert report.checks == reference_epistemic_system(scrambled, non_paranoid)
-            if join_preserving:
-                scanned += any(
-                    witness_element(c) not in irreducibles for c in report.failures()
-                    if c.name in ("act-unit", "act-composition", "lifted-no-miracle"))
-    # bottom and the irreducibles decide these laws, but their first witnesses
-    # in index order are other elements
+            mixed = check_epistemic_system(scrambled, non_paranoid)
+            assert mixed.checks == reference_epistemic_system(scrambled, non_paranoid)
+            failing.update((c.name, non_paranoid) for c in report.failures())
+            # bottom and the irreducibles decide the law, but its first
+            # witness in index order may be another element
+            scanned += any(witness_element(c) not in irreducibles for c in mixed.failures())
+    assert failing[("lifted-no-miracle", False)] >= 5, failing
+    assert failing[("lifted-no-miracle", True)] >= 5, failing
+    assert {name for name, _ in failing} == {"lifted-no-miracle"}
     assert scanned >= 5, scanned
 
 
-def test_maps_that_do_not_preserve_joins_are_judged_on_every_element():
-    # each word map in turn agrees with the true one on bottom and the
-    # irreducibles but not at top: the irreducibles no longer decide the laws
+def test_epistemic_quantale_matches_its_loops():
+    # arbitrary (paranoid) lifts: check_epistemic_quantale against its loops
+    rng = random.Random(20261019)
+    failing = Counter()
+    for _ in range(150):
+        alg = rng.choice([random_product_update, random_informed_model])(rng)
+        q = ActionQuantale(alg.actions, rng.randint(1, 3))
+        lifts = corrupt_lifts(rng, q, lift_action_appearance(alg, q))
+        for non_paranoid in (False, True):
+            report = check_epistemic_quantale(q, lifts, non_paranoid)
+            assert report.checks == reference_epistemic_quantale(q, lifts, non_paranoid)
+            if non_paranoid:
+                assert report.equalities is None
+            else:
+                assert report.equalities.checks == reference_epistemic_quantale(q, lifts, True)
+            failing.update(c.name.split("[")[0] for c in report.failures())
+    for row in ("unit-inclusion", "unit-equality", "compose-lax", "compose-equality"):
+        assert failing[row] >= 5, (row, failing)
+    # a QuantaleLift is the pointwise extension of its word images, and words
+    # form a free monoid, so these laws hold whatever the images are
+    assert not failing.keys() & {"lift-join-preserving", "compose-associative",
+                                 "unit-law", "compose-distributes-over-union"}
+
+
+def broken_at_top(m):
+    """m with its image of top moved, so that it no longer preserves joins
+    on a powerset of two or more worlds."""
+    lat = m.lattice
+    table = list(m.table)
+    top, bottom = lat.top.index, lat.bottom.index
+    table[top] = bottom if table[top] != bottom else top
+    return LatticeMap(lat, table)
+
+
+def test_maps_that_do_not_preserve_joins_are_refused():
+    # lifted no-miracle is decided on letters at bottom and the irreducibles,
+    # which only join-preserving update and appearance maps allow
     alg = honest_coin_model()
-    lat = alg.lattice
     q = ActionQuantale(["a"], 2)
-    view = indexed_to_binary(alg, q)
-    for w in q.words():
-        table = list(view.word_maps[w].table)
-        top = lat.top.index
-        table[top] = lat.bottom.index if table[top] != lat.bottom.index else top
-        word_maps = {**view.word_maps, w: LatticeMap(lat, table)}
-        bad = EpistemicSystemView(alg, q, lifts=view.lifts, word_maps=word_maps)
-        top_first = twin_view(bad, [top, *range(top)])
-        for v in (bad, top_first):
+    pair = alg.update["a"]
+    bad_update = DynamicAlgebra(
+        alg.mama, alg.actions, {"a": AdjointPair(broken_at_top(pair.left), pair.right)},
+        alg.action_appearance, alg.facts)
+    pairs = dict(alg.mama.pairs)
+    pairs["B"] = AdjointPair(broken_at_top(pairs["B"].left), pairs["B"].right)
+    bad_appearance = DynamicAlgebra(MAMA(alg.lattice, pairs), alg.actions, alg.update,
+                                    alg.action_appearance, alg.facts)
+    for bad, name in ((bad_update, "upd[a]"), (bad_appearance, "f[B]")):
+        for view in (indexed_to_binary(bad, q), twin_view(indexed_to_binary(bad, q))):
             for non_paranoid in (False, True):
-                report = check_epistemic_system(v, non_paranoid)
-                assert report.checks == reference_epistemic_system(v, non_paranoid)
-                assert not report.ok, (w, non_paranoid)
+                with pytest.raises(NotJoinPreserving, match=re.escape(f"; {name} is not")):
+                    check_epistemic_system(view, non_paranoid)
