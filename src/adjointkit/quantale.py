@@ -371,8 +371,8 @@ def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False
     bottom and h(l, p \\/ p') = h(l, p) \\/ h(l, p'); act-composition,
     h(l, w.v) = h(h(l, w), v); lifted-no-miracle.
 
-    Both modes are judged in one pass; a lax report carries the rows of
-    the epistemic-quantale equalities as its `equalities` report.
+    Both modes are judged in one pass; a lax report carries the
+    non_paranoid report as its `equalities`.
     """
     laws = check_quantale_laws(view.quantale).checks
     lax, equal = _lifted_no_miracle(view)
@@ -386,8 +386,7 @@ def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False
         no_miracle = LawCheck("lifted-no-miracle", wit is None, wit)
         return QuantaleReport((*laws, *lifts, *module, no_miracle), equalities)
 
-    equal_lifts = lift_rows("unit-equality", "compose-equality")
+    equalities = report(lift_rows("unit-equality", "compose-equality"), equal)
     if non_paranoid:
-        return report(equal_lifts, equal)
-    return report(lift_rows("unit-inclusion", "compose-lax"), lax,
-                  QuantaleReport(laws + equal_lifts))
+        return equalities
+    return report(lift_rows("unit-inclusion", "compose-lax"), lax, equalities)

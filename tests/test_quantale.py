@@ -524,6 +524,9 @@ def test_table_checks_match_the_act_loops():
         for non_paranoid in (False, True):
             report = check_epistemic_system(view, non_paranoid)
             assert report.checks == reference_epistemic_system(view, non_paranoid)
+            # what the non-paranoid-equalities row reports
+            assert report.equalities == (None if non_paranoid
+                                         else check_epistemic_system(view, True))
             assert check_epistemic_system(twin, non_paranoid) == report
             mixed = check_epistemic_system(scrambled, non_paranoid)
             assert mixed.checks == reference_epistemic_system(scrambled, non_paranoid)
