@@ -640,12 +640,12 @@ def instantiate(doc: ScenarioDoc, *, full_lattice_axioms: bool = False) -> Insta
             atoms[n] = env[n]
         model = SemanticModel(alg, atoms)
 
-        for act in doc.actions:
-            report = alg.kernel(act.name)
+        for name in declared_kernels:
+            report = alg.kernel(name)
             if not report.matches:
                 missed = ", ".join(e.name for e in report.undeclared_misses)
                 raise KernelMismatch(
-                    f"action {act.name!r}: declared kernel atoms not annihilated: {missed}"
+                    f"action {name!r}: declared kernel atoms not annihilated: {missed}"
                 )
 
     if doc.mode in ("symbolic", "both"):

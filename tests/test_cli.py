@@ -58,14 +58,27 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys):
         no_miracle_calls.append(full_lattice)
         return no_miracle(self, full_lattice)
 
+    # likewise the build computes the kernel of each action that declares
+    # one, once, and the axiom pass reports the kernel rows as ok
+    kernel_calls = []
+    kernel = dynamics.DynamicAlgebra.kernel
+
+    def counted_kernel(self, action):
+        kernel_calls.append(action)
+        return kernel(self, action)
+
     monkeypatch.setattr(cli, "_axiom_checks", counted)
     monkeypatch.setattr(dynamics.DynamicAlgebra, "no_miracle_violations", counted_no_miracle)
+    monkeypatch.setattr(dynamics.DynamicAlgebra, "kernel", counted_kernel)
     path = fixture_path("coin-lying-model.scn")
     assert main(["run", path, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert [v["kind"] for v in data["verdicts"]].count("validate-axioms") == 1
     assert calls == ["coin-lying-model"]
     assert no_miracle_calls == [False]
+    assert kernel_calls == ["a", "abar"]
+    assert [(a["name"], a["ok"]) for a in data["axioms"] if a["name"].startswith("kernel")] == [
+        ("kernel[a]", True), ("kernel[abar]", True)]
     # a single validate-axioms query runs the pass on demand
     query_id = next(v["id"] for v in data["verdicts"] if v["kind"] == "validate-axioms")
     assert main(["query", path, query_id]) == 0
