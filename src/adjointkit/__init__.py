@@ -81,7 +81,6 @@ from .derivation import (
     DEFAULT_MAX_DEPTH,
     NotProved,
     ProofNode,
-    proof_from_dict,
     prove,
     render_proof,
     verify_tree,

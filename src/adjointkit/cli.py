@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .errors import AdjointKitError, InternalError, ParseError, ResolutionError
 from . import derivation, maps, quantale as quantale_mod
 from .epistemic import check_coclosure_consequences
-from .derivation import NotProved, render_proof
+from .derivation import NotProved, ProofNode, render_proof
 from .scenario import Instantiated, ScenarioDoc, instantiate, parse_scenario
 from .semantics import entails, eval_term
 from .terms import Sequent, render_term
@@ -33,7 +33,7 @@ class Verdict:
     ok: bool
     detail: str
     semantic: bool | None = None
-    proof: dict | None = None
+    proof: ProofNode | None = None      # rendered by as_dict, or as text by prove
     element: str | None = None
 
     def as_dict(self):
@@ -41,7 +41,7 @@ class Verdict:
         if self.semantic is not None:
             out["semantic"] = self.semantic
         if self.proof is not None:
-            out["proof"] = self.proof
+            out["proof"] = render_proof(self.proof, "structured")
         if self.element is not None:
             out["element"] = self.element
         return out
@@ -259,7 +259,7 @@ def _run_query(inst: Instantiated, q, flags, axioms=None) -> Verdict:
                 )
         return Verdict(
             q.id, q.kind, True, f"proved with {len(outcome.sequents())} steps",
-            semantic=semantic, proof=render_proof(outcome, "structured"),
+            semantic=semantic, proof=outcome,
         )
 
     raise InternalError(f"unknown query kind {q.kind!r}")
@@ -453,7 +453,7 @@ def main(argv=None) -> int:
     if args.command == "prove" and not args.json:
         for v in report.verdicts:
             if v.proof is not None:
-                print(render_proof(derivation.proof_from_dict(v.proof), "text"))
+                print(render_proof(v.proof, "text"))
     return report.exit_code
 
 

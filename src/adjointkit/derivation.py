@@ -518,10 +518,3 @@ def _to_dict(node: ProofNode) -> dict:
         "children": [_to_dict(c) for c in node.children],
     }
 
-
-def proof_from_dict(data: dict) -> ProofNode:
-    from .terms import parse_term
-
-    seq = Sequent(parse_term(data["goal"]["lhs"]), parse_term(data["goal"]["rhs"]))
-    kids = tuple(proof_from_dict(c) for c in data["children"])
-    return ProofNode(seq, data["rule"], data.get("note", ""), kids)

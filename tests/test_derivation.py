@@ -8,7 +8,6 @@ from adjointkit import (
     NotProved,
     ProofNode,
     parse_entailment,
-    proof_from_dict,
     prove,
     render_proof,
     verify_tree,
@@ -330,6 +329,13 @@ def test_order_axiom_single_line_render():
     tree = prove(parse_entailment("x |= x"), Assumptions(), 4)
     text = render_proof(tree, "text")
     assert text.splitlines()[0] == "[OrderAxiom] x |= x"
+
+
+def proof_from_dict(data):
+    """The proof tree a structured rendering describes."""
+    seq = Sequent(parse_term(data["goal"]["lhs"]), parse_term(data["goal"]["rhs"]))
+    kids = tuple(proof_from_dict(c) for c in data["children"])
+    return ProofNode(seq, data["rule"], data["note"], kids)
 
 
 def test_structured_render_round_trips():
