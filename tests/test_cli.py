@@ -41,7 +41,7 @@ def test_run_json_schema(capsys):
     assert proofs and {"goal", "rule", "children"} <= set(proofs[0])
 
 
-def test_one_axiom_pass_per_run(monkeypatch, capsys):
+def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
     calls = []
     original = cli._axiom_checks
 
@@ -90,6 +90,16 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys):
     assert no_miracle_calls == [True]
     row = next(a for a in data["axioms"] if a["name"] == "no-miracle")
     assert (row["ok"], row["detail"]) == (True, "")
+    # an action that declares no kernel has no kernel computed and no row
+    kernel_calls.clear()
+    text = Path(path).read_text()
+    assert text.count("  kernel H\n") == 1
+    no_kernel = tmp_path / "no-kernel.scn"
+    no_kernel.write_text(text.replace("  kernel H\n", ""))
+    assert main(["run", str(no_kernel), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert kernel_calls == ["a"]
+    assert [a["name"] for a in data["axioms"] if a["name"].startswith("kernel")] == ["kernel[a]"]
 
 
 def test_word_bound_over_the_cap_exits_two(monkeypatch, capsys):
