@@ -398,7 +398,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--full-lattice-axioms", action="store_true",
                        help="check no-miracle on all elements, not just generators")
         p.add_argument("--word-bound", type=int, default=3,
-                       help="quantale word-length bound for system checks")
+                       help="quantale word-length bound; only checked against the "
+                            "1,024-word cap, no law's verdict depends on it")
         p.add_argument("--depth", type=int, default=None,
                        help="proof search depth override")
 
