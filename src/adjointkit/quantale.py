@@ -168,8 +168,8 @@ class LawCheck:
 @dataclass(frozen=True)
 class QuantaleReport:
     checks: tuple[LawCheck, ...]
-    # lax epistemic-quantale reports also carry the same laws judged as
-    # non-paranoid equalities, from the same pass over word pairs
+    # lax reports also carry the same laws judged as non-paranoid
+    # equalities, from the same pass
     equalities: QuantaleReport | None = None
 
     @property
