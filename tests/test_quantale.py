@@ -35,7 +35,7 @@ from adjointkit.quantale import (
     fmt_q,
     fmt_word,
 )
-from conftest import honest_coin_model, on_twin, random_join_map, table_twin, twin_algebra
+from conftest import honest_coin_model, random_join_map, table_twin, twin_algebra
 
 
 @pytest.fixture
