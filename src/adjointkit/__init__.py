@@ -61,7 +61,6 @@ from .epistemic import MAMA, CoclosureReport, build_mama, check_coclosure_conseq
 from .dynamics import (
     ActionLabel,
     DynamicAlgebra,
-    FactStabilityReport,
     KernelReport,
     build_dynamic_algebra,
 )

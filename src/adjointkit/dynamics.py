@@ -2,14 +2,15 @@
 
 Each action a carries a join-preserving update map h_a (with computed right
 adjoint h*_a, read "after a") and every agent an action-appearance f'_A on
-labels. Validation enforces the no-miracle axiom
+labels. The build enforces the no-miracle axiom
 f_A(h_a(l)) <= h_{f'_A(a)}(f_A(l)) and forward fact stability
-(l <= phi implies h_a(l) <= phi for communication actions).
+(l <= phi implies h_a(l) <= phi for communication actions), and raises on
+the first breach of either.
 
 No-miracle is checked on the join-irreducible generators by default: both
 sides are join-preserving in l because f'_A acts on labels, so generator
 coverage implies the full law. A full-lattice sweep stays available for
-audits.
+audits, and an equality mode finds where the two sides differ.
 """
 
 from __future__ import annotations
@@ -47,25 +48,6 @@ class KernelReport:
     @property
     def matches(self) -> bool:
         return not self.undeclared_misses
-
-
-@dataclass(frozen=True)
-class FactStabilityReport:
-    """Forward direction is mandatory; the converse is only reported.
-
-    The converse (h_a(l) <= phi implies l <= phi) fails at kernel elements
-    in any model where a communication action annihilates something, so
-    strict mode lists those counterexamples instead of pretending the
-    biconditional could hold.
-    """
-
-    forward_ok: bool
-    forward_witness: tuple[str, Element, Element] | None
-    converse_counterexamples: tuple[tuple[str, Element, Element], ...]
-
-    @property
-    def strict_ok(self) -> bool:
-        return self.forward_ok and not self.converse_counterexamples
 
 
 class DynamicAlgebra:
@@ -144,27 +126,38 @@ class DynamicAlgebra:
         hstar = maps.right_adjoint(h).right
         return maps.gfp_meet(hstar)(l)
 
-    def fact_stability_report(self, strict: bool = False) -> FactStabilityReport:
-        """Scan l <= phi implies h_a(l) <= phi for communication actions.
+    def fact_stability_report(
+        self, converse: bool = False
+    ) -> tuple[tuple[str, Element, Element], ...]:
+        """Every (a, phi, l) against forward fact stability, l <= phi implies
+        h_a(l) <= phi, for the communication actions a and the facts phi.
 
-        strict also scans the converse and collects all counterexamples.
+        converse scans h_a(l) <= phi implies l <= phi instead. It fails at
+        kernel elements in any model where a communication action
+        annihilates something, so it is reported, never enforced.
         """
         lat = self.lattice
-        witness = None
-        converse = []
+        breaches = []
         for name in self.communication_actions:
             h = self.update_map(name)
             for phi in self.facts:
                 for l in lat.elements:
-                    below, updated = lat.leq_(l, phi), lat.leq_(h(l), phi)
-                    if below and not updated and witness is None:
-                        witness = (name, phi, l)
-                    if strict and updated and not below:
-                        converse.append((name, phi, l))
-        return FactStabilityReport(witness is None, witness, tuple(converse))
+                    premise, conclusion = lat.leq_(l, phi), lat.leq_(h(l), phi)
+                    if converse:
+                        premise, conclusion = conclusion, premise
+                    if premise and not conclusion:
+                        breaches.append((name, phi, l))
+        return tuple(breaches)
 
-    def no_miracle_violations(self, full_lattice: bool = False):
-        """Yield NoMiracleViolation instances (empty when the axiom holds)."""
+    def no_miracle_violations(self, full_lattice: bool = False, equality: bool = False):
+        """Yield NoMiracleViolation instances (empty when the axiom holds).
+
+        Agents go in order, actions in declaration order, and elements in
+        index order: the join-irreducibles, or every element with
+        full_lattice. With equality, yield wherever the two sides differ,
+        the axiom's equality form; there an instance is a witness, and its
+        message ("is not below") need not apply.
+        """
         lat = self.lattice
         domain = lat.join_irreducibles() if not full_lattice else lat.elements
         for agent in self.mama.agents:
@@ -175,7 +168,7 @@ class DynamicAlgebra:
                 for l in domain:
                     lhs = f(h(l))
                     rhs = h_seen(f(l))
-                    if not lat.leq_(lhs, rhs):
+                    if (lhs != rhs) if equality else not lat.leq_(lhs, rhs):
                         yield NoMiracleViolation(agent, a, l, lhs, rhs)
 
 
@@ -234,7 +227,7 @@ def build_dynamic_algebra(
 
     for violation in alg.no_miracle_violations(full_lattice=full_lattice_axioms):
         raise violation
-    report = alg.fact_stability_report(strict=False)
-    if not report.forward_ok:
-        raise FactStabilityViolation(*report.forward_witness)
+    breaches = alg.fact_stability_report()
+    if breaches:
+        raise FactStabilityViolation(*breaches[0])
     return alg

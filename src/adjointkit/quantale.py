@@ -27,13 +27,14 @@ the agent's appearances of a and w and h_a' monotone,
 so a word fails only if one of its letters fails for the same agent, and
 the law is decided on one-letter words. When the update and appearance
 maps preserve joins, so do both sides as functions of l, and bottom and
-the join-irreducibles decide it. check_epistemic_quantale still judges the
-lift laws of arbitrary (paranoid) QuantaleLifts.
+the join-irreducibles decide it. On one letter the lax law is the
+no-miracle axiom, which build_dynamic_algebra enforces, and its equality
+form is the equality mode of the same scan. check_epistemic_quantale still
+judges the lift laws of arbitrary (paranoid) QuantaleLifts.
 """
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
@@ -320,73 +321,60 @@ def binary_to_indexed(view: EpistemicSystemView) -> DynamicAlgebra:
     )
 
 
-def _lifted_no_miracle(view: EpistemicSystemView) -> tuple[str | None, str | None]:
-    """First witnesses against lifted no-miracle, lax and as an equality,
-    judged in one pass over the letters at bottom and the join-irreducibles.
-    A failing letter takes its witness from a scan of every element in
-    index order. Agents go in order and letters in generator order, as
-    words() lists them, so this is the first failing word's witness."""
-    alg, q, lat = view.algebra, view.quantale, view.lattice
-    update = {a: alg.update_map(a) for a in q.generators}
-    appearance = {agent: alg.mama.appearance_map(agent) for agent in alg.mama.agents}
-    for name, m in [*((f"upd[{a}]", m) for a, m in update.items()),
-                    *((f"f[{agent}]", m) for agent, m in appearance.items())]:
-        if not maps.preserves_joins(m):
-            raise NotJoinPreserving(
-                f"the epistemic-system check needs join-preserving maps; {name} is not"
-            )
+def lifted_no_miracle_witness(alg: DynamicAlgebra, equality: bool = False) -> str | None:
+    """The first witness against lifted no-miracle (its equality form with
+    equality), or None where it holds: the algebra's no-miracle scan
+    decides it on the join-irreducibles, and a failure takes its witness
+    from a scan of every element, the first failing agent and letter at its
+    first failing element in index order. Letters go in alg.actions order,
+    the order of the one-letter words of an ActionQuantale over them."""
+    if next(alg.no_miracle_violations(equality=equality), None) is None:
+        return None
+    v = next(alg.no_miracle_violations(full_lattice=True, equality=equality))
+    return f"agent {v.agent}, word {fmt_word((v.action,))}, at {v.element.name}"
 
-    def above(x, y):
-        return not lat.leq_(x, y)
 
-    lax = equal = None
-    domain = [lat.bottom, *lat.join_irreducibles()]
-    for agent, f in appearance.items():
-        for a in q.generators:
-            h, seen = update[a], update[alg.appeared_action(agent, a)]
+def system_report(q: ActionQuantale, agents, lax: str | None, equal: str | None,
+                  non_paranoid: bool = False) -> QuantaleReport:
+    """The epistemic-system rows, given lifted no-miracle's first lax and
+    equality witnesses (None where it holds); every other row is a constant
+    ok row. The rows, in order: those of check_quantale_laws; per agent,
+    lift-join-preserving and the lift's unit and composition laws;
+    act-unit, h(l, 1) = l; act-join-law, h(l, 0) = bottom and
+    h(l, p \\/ p') = h(l, p) \\/ h(l, p'); act-composition,
+    h(l, w.v) = h(h(l, w), v); lifted-no-miracle. A lax report carries the
+    non_paranoid report as its `equalities`."""
+    laws = check_quantale_laws(q).checks
 
-            def witness(fails):
-                at = next(l for l in lat.elements if fails(f(h(l)), seen(f(l))))
-                return f"agent {agent}, word {fmt_word((a,))}, at {at.name}"
+    def report(unit, compose, wit, equalities=None):
+        lifts = (LawCheck(f"{name}[{agent}]", True) for agent in agents
+                 for name in ("lift-join-preserving", unit, compose))
+        module = (LawCheck(name, True) for name in ("act-unit", "act-join-law", "act-composition"))
+        no_miracle = LawCheck("lifted-no-miracle", wit is None, wit)
+        return QuantaleReport((*laws, *lifts, *module, no_miracle), equalities)
 
-            sides = [(f(h(l)), seen(f(l))) for l in domain]
-            if equal is None and any(x != y for x, y in sides):
-                equal = witness(operator.ne)
-            if any(above(x, y) for x, y in sides):
-                return witness(above), equal
-    return None, equal
+    equalities = report("unit-equality", "compose-equality", equal)
+    if non_paranoid:
+        return equalities
+    return report("unit-inclusion", "compose-lax", lax, equalities)
 
 
 def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False) -> QuantaleReport:
     """Module laws of the epistemic system plus the epistemic-quantale laws
-    of the letterwise lifts. A full pass certifies the pair.
-
-    Every row holds by definition on the view (see the module docstring)
-    and is a constant ok row, except lifted no-miracle, f_A h(l, w) <=
-    h(f_A(l), f'_A(w)) (an equality when non_paranoid), which is decided on
-    the letters; that needs join-preserving update and appearance maps, and
-    others raise NotJoinPreserving. The rows, in order: those of
-    check_quantale_laws; per agent, lift-join-preserving and the lift's unit
-    and composition laws; act-unit, h(l, 1) = l; act-join-law, h(l, 0) =
-    bottom and h(l, p \\/ p') = h(l, p) \\/ h(l, p'); act-composition,
-    h(l, w.v) = h(h(l, w), v); lifted-no-miracle.
-
-    Both modes are judged in one pass; a lax report carries the
-    non_paranoid report as its `equalities`.
-    """
-    laws = check_quantale_laws(view.quantale).checks
-    lax, equal = _lifted_no_miracle(view)
-
-    def lift_rows(unit, compose):
-        return tuple(LawCheck(f"{name}[{agent}]", True) for agent in view.algebra.mama.agents
-                     for name in ("lift-join-preserving", unit, compose))
-
-    def report(lifts, wit, equalities=None):
-        module = [LawCheck(name, True) for name in ("act-unit", "act-join-law", "act-composition")]
-        no_miracle = LawCheck("lifted-no-miracle", wit is None, wit)
-        return QuantaleReport((*laws, *lifts, *module, no_miracle), equalities)
-
-    equalities = report(lift_rows("unit-equality", "compose-equality"), equal)
-    if non_paranoid:
-        return equalities
-    return report(lift_rows("unit-inclusion", "compose-lax"), lax, equalities)
+    of the letterwise lifts, as system_report lists them. A full pass
+    certifies the pair. Only lifted no-miracle (an equality when
+    non_paranoid) can fail on the view (see the module docstring); deciding
+    it on the letters needs join-preserving update and appearance maps, and
+    others raise NotJoinPreserving."""
+    alg = view.algebra
+    agents = alg.mama.agents
+    for name, m in [*((f"upd[{a}]", alg.update_map(a)) for a in alg.actions),
+                    *((f"f[{agent}]", alg.mama.appearance_map(agent)) for agent in agents)]:
+        if not maps.preserves_joins(m):
+            raise NotJoinPreserving(
+                f"the epistemic-system check needs join-preserving maps; {name} is not"
+            )
+    equal = lifted_no_miracle_witness(alg, equality=True)
+    # every lax failure is also an equality failure
+    lax = None if non_paranoid or equal is None else lifted_no_miracle_witness(alg)
+    return system_report(view.quantale, agents, lax, equal, non_paranoid)

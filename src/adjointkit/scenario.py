@@ -51,7 +51,7 @@ from .errors import (
     ResolutionError,
 )
 from . import dynamics, epistemic, lattice as lattice_mod
-from .semantics import SemanticModel, eval_term
+from .semantics import SemanticModel, eval_term, evaluate
 from . import terms as T
 from .terms import Assumptions, Term, _TermParser, render_term
 
@@ -570,22 +570,6 @@ def _ground_env(doc: ScenarioDoc, lat):
     return env
 
 
-def _eval_ground(term: Term, env, lat):
-    if isinstance(term, T.Atom):
-        return env[term.name]
-    if isinstance(term, T.Bot):
-        return lat.bottom
-    if isinstance(term, T.Top):
-        return lat.top
-    if isinstance(term, T.Or):
-        return lat.join2(_eval_ground(term.left, env, lat), _eval_ground(term.right, env, lat))
-    if isinstance(term, T.And):
-        return lat.meet2(_eval_ground(term.left, env, lat), _eval_ground(term.right, env, lat))
-    if isinstance(term, T.Not):
-        return lat.complement(_eval_ground(term.arg, env, lat))
-    raise ResolutionError(f"not a ground term: {render_term(term)}")
-
-
 def instantiate(doc: ScenarioDoc, *, full_lattice_axioms: bool = False) -> Instantiated:
     """Build the semantic model and/or the assumption set a document declares.
 
@@ -602,7 +586,7 @@ def instantiate(doc: ScenarioDoc, *, full_lattice_axioms: bool = False) -> Insta
         lat = _build_lattice(doc)
         env = _ground_env(doc, lat)
         for pname, term in doc.props:
-            env[pname] = _eval_ground(term, env, lat)
+            env[pname] = evaluate(lat, env, None, term)
 
         def generator_map(pairs):
             # generator labels are worlds (powerset) or poset elements; the
@@ -610,7 +594,7 @@ def instantiate(doc: ScenarioDoc, *, full_lattice_axioms: bool = False) -> Insta
             gens = {}
             for gen, term in pairs:
                 el = lat.subset([gen]) if doc.worlds else lat.element(gen)
-                gens[el] = _eval_ground(term, env, lat)
+                gens[el] = evaluate(lat, env, None, term)
             return gens
 
         mama_assignments = {a.name: generator_map(a.sees) for a in doc.agents}

@@ -2,7 +2,9 @@
 
 This is the bridge used by the soundness cross-check: any sequent the
 derivation engine proves against assumptions realized by a model must
-evaluate to a true entailment here.
+evaluate to a true entailment here. It is the one term evaluator: the
+scenario builder evaluates the ground terms of prop, sees and update lines
+with it too, before there is an algebra.
 """
 
 from __future__ import annotations
@@ -27,22 +29,27 @@ class SemanticModel:
         return self.algebra.lattice
 
 
-def resolve_action(model: SemanticModel, ref: T.ActionRef) -> str:
+def resolve_action(alg: DynamicAlgebra, ref: T.ActionRef) -> str:
     if isinstance(ref, T.ActName):
-        model.algebra.action(ref.name)
+        alg.action(ref.name)
         return ref.name
-    inner = resolve_action(model, ref.ref)
-    return model.algebra.appeared_action(ref.agent, inner)
+    inner = resolve_action(alg, ref.ref)
+    return alg.appeared_action(ref.agent, inner)
 
 
 def eval_term(model: SemanticModel, term: T.Term) -> Element:
-    lat = model.lattice
-    mama = model.algebra.mama
+    return evaluate(model.lattice, model.atoms, model.algebra, term)
+
+
+def evaluate(lat, atoms: dict[str, Element], alg: DynamicAlgebra | None, term: T.Term) -> Element:
+    """The value of term in lat, with atoms bound by atoms; alg may be None
+    for a ground term (atoms, bounds and the Boolean connectives only)."""
+    mama = alg.mama if alg is not None else None
 
     def rec(t):
         if isinstance(t, T.Atom):
             try:
-                return model.atoms[t.name]
+                return atoms[t.name]
             except KeyError:
                 raise ResolutionError(f"undeclared proposition {t.name!r}")
         if isinstance(t, T.Bot):
@@ -79,9 +86,9 @@ def eval_term(model: SemanticModel, term: T.Term) -> Element:
                 acc = lat.meet2(acc, cur)
             return acc
         if isinstance(t, T.Upd):
-            return model.algebra.update_map(resolve_action(model, t.action))(rec(t.arg))
+            return alg.update_map(resolve_action(alg, t.action))(rec(t.arg))
         if isinstance(t, T.After):
-            return model.algebra.after_map(resolve_action(model, t.action))(rec(t.arg))
+            return alg.after_map(resolve_action(alg, t.action))(rec(t.arg))
         raise TypeError(f"not a term: {t!r}")
 
     return rec(term)

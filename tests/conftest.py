@@ -11,8 +11,12 @@ non-distributive territory is covered too).
 
 from __future__ import annotations
 
+import importlib
 import random
+import sys
+from importlib import resources
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,48 @@ def lying_coin_model():
         facts=(H, T),
         declared_kernels={"a": (T,), "abar": (H,)},
     )
+
+
+# -- scenarios: shipped and generated --------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark harness, whose directory is not a package."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    return importlib.import_module(name)
+
+
+def scenario_texts(dynamic_seeds=(), epistemic_seeds=()):
+    """(name, text) of every shipped scenario, then of the benchmark's
+    generated dynamic-words and epistemic-256 scenarios of the given seeds."""
+    shipped = resources.files("adjointkit") / "scenarios"
+    out = [(p.name, p.read_text(encoding="utf-8"))
+           for p in sorted(shipped.iterdir(), key=lambda p: p.name) if p.name.endswith(".scn")]
+    if dynamic_seeds or epistemic_seeds:
+        gen = perfbench_module("gen")
+        for seed in dynamic_seeds:
+            out += [(f"{c.name}@{seed}", c.text) for c in gen.dynamic_cases(random.Random(seed))]
+        for seed in epistemic_seeds:
+            out += [(f"{c.name}@{seed}", c.text) for c in gen.epistemic_cases(random.Random(seed))]
+    return out
+
+
+def built_models(texts):
+    """(name, SemanticModel) of each scenario text whose model builds."""
+    from adjointkit import AdjointKitError, instantiate, parse_scenario
+
+    out = []
+    for name, text in texts:
+        try:
+            inst = instantiate(parse_scenario(text))
+        except AdjointKitError:
+            continue
+        if inst.model is not None:
+            out.append((name, inst.model))
+    return out
 
 
 # -- random structure generators ------------------------------------------------

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import adjointkit
-from adjointkit import cli, derivation, dynamics, quantale
+from adjointkit import cli, derivation, dynamics, maps, quantale
 from adjointkit.cli import main
 from adjointkit.derivation import KERNEL_DISCHARGE, ORDER_AXIOM, ProofNode
 from adjointkit.terms import parse_entailment
+from conftest import built_models, scenario_texts
 
 
 def fixture_path(name: str) -> str:
@@ -41,25 +42,54 @@ def test_run_json_schema(capsys):
     assert proofs and {"goal", "rule", "children"} <= set(proofs[0])
 
 
+PUBLIC_COIN = """version 1
+scenario public-coin
+mode semantic
+
+worlds h t
+
+agent C
+  sees h -> h
+  sees t -> t
+end
+
+action a
+  communication
+  update h -> h
+  update t -> bot
+end
+
+facts h
+
+query ax validate-axioms
+"""
+
+
 def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
-    calls = []
+    # every axiom the build decided is decided once, in the build; the
+    # axiom pass scans only the converse of fact stability and the
+    # equality form of lifted no-miracle, and re-checks nothing else
+    events = []
     original = cli._axiom_checks
 
     def counted(inst, flags):
-        calls.append(inst.doc.name)
+        events.append("axiom pass")
         return original(inst, flags)
 
-    # the build rejects a no-miracle violation, on the same domain, so the
-    # axiom pass reports its verdict without checking again
-    no_miracle_calls = []
     no_miracle = dynamics.DynamicAlgebra.no_miracle_violations
 
-    def counted_no_miracle(self, full_lattice=False):
-        no_miracle_calls.append(full_lattice)
-        return no_miracle(self, full_lattice)
+    def counted_no_miracle(self, full_lattice=False, equality=False):
+        events.append(("no-miracle", full_lattice, equality))
+        return no_miracle(self, full_lattice, equality)
 
-    # likewise the build computes the kernel of each action that declares
-    # one, once, and the axiom pass reports the kernel rows as ok
+    fact_stability = dynamics.DynamicAlgebra.fact_stability_report
+
+    def counted_fact_stability(self, converse=False):
+        events.append(("fact-stability", converse))
+        return fact_stability(self, converse)
+
+    # the build computes the kernel of each action that declares one, once,
+    # and the axiom pass reports the kernel rows as ok
     kernel_calls = []
     kernel = dynamics.DynamicAlgebra.kernel
 
@@ -67,29 +97,69 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
         kernel_calls.append(action)
         return kernel(self, action)
 
+    rechecks = []
+
+    def refused(name):
+        def call(*args, **kwargs):
+            rechecks.append(name)
+            raise AssertionError(f"{name} called on the run path")
+        return call
+
     monkeypatch.setattr(cli, "_axiom_checks", counted)
     monkeypatch.setattr(dynamics.DynamicAlgebra, "no_miracle_violations", counted_no_miracle)
+    monkeypatch.setattr(dynamics.DynamicAlgebra, "fact_stability_report", counted_fact_stability)
     monkeypatch.setattr(dynamics.DynamicAlgebra, "kernel", counted_kernel)
+    monkeypatch.setattr(maps, "verify_adjunction", refused("verify_adjunction"))
+    for name in ("check_epistemic_system", "indexed_to_binary", "EpistemicSystemView"):
+        monkeypatch.setattr(quantale, name, refused(name))
+    monkeypatch.setattr(quantale.ActionQuantale, "words", refused("words"))
     path = fixture_path("coin-lying-model.scn")
     assert main(["run", path, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert [v["kind"] for v in data["verdicts"]].count("validate-axioms") == 1
-    assert calls == ["coin-lying-model"]
-    assert no_miracle_calls == [False]
+    # the lax scan and the forward scan run in the build; lifted no-miracle
+    # fails as an equality here, so its witness comes from one rescan of
+    # every element in index order
+    assert events == [
+        ("no-miracle", False, False), ("fact-stability", False), "axiom pass",
+        ("fact-stability", True), ("no-miracle", False, True), ("no-miracle", True, True),
+    ]
+    assert rechecks == []
+    rows = {a["name"]: (a["ok"], a["detail"]) for a in data["axioms"]}
+    assert rows["lifted-no-miracle"] == (True, "")
+    assert rows["non-paranoid-equalities"] == (None, "fail: lifted-no-miracle")
+    assert rows["adjunctions"] == rows["fact-stability-forward"] == (True, "")
     assert kernel_calls == ["a", "abar"]
     assert [(a["name"], a["ok"]) for a in data["axioms"] if a["name"].startswith("kernel")] == [
         ("kernel[a]", True), ("kernel[abar]", True)]
     # a single validate-axioms query runs the pass on demand
     query_id = next(v["id"] for v in data["verdicts"] if v["kind"] == "validate-axioms")
+    events.clear()
     assert main(["query", path, query_id]) == 0
-    assert calls == ["coin-lying-model"] * 2
+    assert events.count("axiom pass") == 1
     capsys.readouterr()
-    no_miracle_calls.clear()
+    events.clear()
     assert main(["run", path, "--json", "--full-lattice-axioms"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert no_miracle_calls == [True]
+    assert events == [
+        ("no-miracle", True, False), ("fact-stability", False), "axiom pass",
+        ("fact-stability", True), ("no-miracle", False, True), ("no-miracle", True, True),
+    ]
     row = next(a for a in data["axioms"] if a["name"] == "no-miracle")
     assert (row["ok"], row["detail"]) == (True, "")
+    # where the equality holds, the equality scan is the only one
+    events.clear()
+    public = tmp_path / "public-coin.scn"
+    public.write_text(PUBLIC_COIN)
+    assert main(["run", str(public), "--json", "--non-paranoid"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert events == [
+        ("no-miracle", False, False), ("fact-stability", False), "axiom pass",
+        ("fact-stability", True), ("no-miracle", False, True),
+    ]
+    row = next(a for a in data["axioms"] if a["name"] == "lifted-no-miracle")
+    assert (row["ok"], row["detail"]) == (True, "")
+    assert rechecks == []
     # an action that declares no kernel has no kernel computed and no row
     kernel_calls.clear()
     text = Path(path).read_text()
@@ -100,6 +170,18 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
     data = json.loads(capsys.readouterr().out)
     assert kernel_calls == ["a"]
     assert [a["name"] for a in data["axioms"] if a["name"].startswith("kernel")] == ["kernel[a]"]
+
+
+def test_every_built_adjoint_pair_is_an_adjunction():
+    # the adjunctions row is a constant ok row because the build makes every
+    # pair with right_adjoint: check that on every instantiated model, the
+    # explicit orders of the epistemic-256 grids among them
+    models = built_models(scenario_texts(dynamic_seeds=(901,), epistemic_seeds=(903,)))
+    assert sum(m.lattice.worlds is None for _, m in models) >= 4
+    for name, model in models:
+        alg = model.algebra
+        for pair in [*alg.mama.pairs.values(), *alg.update.values()]:
+            assert maps.verify_adjunction(pair.left, pair.right) is None, name
 
 
 def test_word_bound_over_the_cap_exits_two(monkeypatch, capsys):

@@ -116,18 +116,20 @@ def test_unknown_action(coin3):
 def test_fact_stability_forward_and_strict():
     alg = honest_coin_model()
     lat = alg.lattice
-    report = alg.fact_stability_report(strict=False)
-    assert report.forward_ok and not report.converse_counterexamples
-    strict = alg.fact_stability_report(strict=True)
-    assert strict.forward_ok and not strict.strict_ok
-    assert ("a", lat.subset(["h0", "h1"]), lat.subset(["t0"])) in strict.converse_counterexamples
+    assert alg.fact_stability_report() == ()
+    converse = alg.fact_stability_report(converse=True)
+    assert converse
+    assert ("a", lat.subset(["h0", "h1"]), lat.subset(["t0"])) in converse
+    # each breach is one of the converse: h_a(l) <= phi but l is not
+    for a, phi, l in converse:
+        assert lat.leq_(alg.update_map(a)(l), phi) and not lat.leq_(l, phi)
 
 
 def test_fact_stability_vacuous_without_facts(coin2):
     mama = build_mama(coin2, {"A": {j: j for j in coin2.join_irreducibles()}})
     updates = {"a": {j: coin2.bottom for j in coin2.join_irreducibles()}}
     alg = build_dynamic_algebra(mama, [ActionLabel("a", True)], updates)
-    assert alg.fact_stability_report(strict=True).strict_ok
+    assert alg.fact_stability_report() == alg.fact_stability_report(converse=True) == ()
 
 
 def test_update_result():

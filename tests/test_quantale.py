@@ -2,6 +2,7 @@
 
 import random
 import re
+from argparse import Namespace
 from collections import Counter
 from itertools import product
 
@@ -27,6 +28,7 @@ from adjointkit import (
     powerset_lattice,
     right_adjoint,
 )
+from adjointkit import cli
 from adjointkit.epistemic import MAMA
 from adjointkit.maps import LatticeMap
 from adjointkit.quantale import (
@@ -35,7 +37,16 @@ from adjointkit.quantale import (
     fmt_q,
     fmt_word,
 )
-from conftest import honest_coin_model, random_join_map, table_twin, twin_algebra
+from adjointkit.scenario import Instantiated
+from adjointkit.semantics import SemanticModel
+from conftest import (
+    built_models,
+    honest_coin_model,
+    random_join_map,
+    scenario_texts,
+    table_twin,
+    twin_algebra,
+)
 
 
 @pytest.fixture
@@ -552,6 +563,49 @@ def test_system_witnesses_follow_index_order_on_a_scrambled_carrier():
     # bottom and the irreducibles decide the law, but its first witnesses in
     # index order are other elements
     assert scanned >= 5, scanned
+
+
+def test_cli_system_rows_match_the_system_check():
+    # the axiom pass reports lax lifted no-miracle from the build's verdict
+    # and decides only the equality form; on built algebras, and on the same
+    # algebras moved to a scrambled explicit order, its system rows must be
+    # those of the library check on the quantale of the same bound
+    rng = random.Random(1212)
+    algebras = []
+    for _, model in built_models(scenario_texts(dynamic_seeds=(901, 902))):
+        alg = model.algebra
+        if not alg.actions:
+            continue
+        masks = list(range(alg.lattice.n - 1))
+        rng.shuffle(masks)
+        twin = table_twin(alg.lattice, [alg.lattice.n - 1, *masks])
+        algebras += [(alg, False), (twin_algebra(alg, twin), True)]
+    assert len(algebras) >= 60
+    equality_failures = scattered = 0
+    for alg, scrambled in algebras:
+        irreducibles = {e.name for e in alg.lattice.join_irreducibles()}
+        for bound in (1, 2, 3):
+            view = indexed_to_binary(alg, ActionQuantale(alg.actions, bound))
+            for non_paranoid in (False, True):
+                flags = Namespace(non_paranoid=non_paranoid, word_bound=bound,
+                                  strict_facts=False)
+                rows = cli._axiom_checks(Instantiated(None, SemanticModel(alg, {}), None), flags)
+                report = check_epistemic_system(view, non_paranoid)
+                expected = [(c.name, c.ok, c.witness or "") for c in report.checks]
+                if not non_paranoid:
+                    failed = report.equalities.failures()
+                    expected.append(("non-paranoid-equalities", None,
+                                     f"fail: {failed[0].name}" if failed else "hold"))
+                start = [c.name for c in rows].index(expected[0][0])
+                assert [(c.name, c.ok, c.detail)
+                        for c in rows[start:start + len(expected)]] == expected
+                if non_paranoid and not report.ok:
+                    equality_failures += 1
+                    scattered += scrambled and witness_element(report.checks[-1]) not in irreducibles
+    assert equality_failures >= 5, equality_failures
+    # the first witness in index order of a scrambled carrier need not be
+    # join-irreducible, so the rows cannot come from the irreducible scan
+    assert scattered >= 5, scattered
 
 
 def test_epistemic_quantale_matches_its_loops():
