@@ -10,6 +10,7 @@ rendering, never the outcome.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -345,6 +346,7 @@ def _cmd_tables(path, map_name, flags, as_json):
     return 0
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adjoint-kit",

@@ -134,20 +134,6 @@ class BadNode:
 
 # -- term rewriting -------------------------------------------------------------
 
-# Rebuilds a one-argument node around a new argument. Keyed by exact class:
-# the term classes have no subclasses, so type(t) dispatch is exact.
-_WITH_ARG = {
-    Not: lambda t, arg: Not(arg),
-    App: lambda t, arg: App(t.agent, arg),
-    Info: lambda t, arg: Info(t.agent, arg),
-    Know: lambda t, arg: Know(t.agent, arg),
-    Believe: lambda t, arg: Believe(t.agent, arg),
-    CK: lambda t, arg: CK(t.agents, arg, t.depth),
-    Upd: lambda t, arg: Upd(t.action, arg),
-    After: lambda t, arg: After(t.action, arg),
-}
-
-
 def _rewrite(t, step, first=False):
     """Rewrite t top-down with a rule's local step (the contract is in the
     module docstring). Untouched subtrees come back as the same objects, so
@@ -168,11 +154,10 @@ def _rewrite(t, step, first=False):
             if left is t.left and right is t.right:
                 return t
             return cls(left, right)
-        with_arg = _WITH_ARG.get(cls)
-        if with_arg is None:
+        if cls is Atom or cls is Bot or cls is Top:
             return t
         arg = rec(t.arg)
-        return t if arg is t.arg else with_arg(t, arg)
+        return t if arg is t.arg else t.with_arg(arg)
 
     return rec(t)
 

@@ -53,7 +53,7 @@ from .errors import (
 from . import dynamics, epistemic, lattice as lattice_mod
 from .semantics import SemanticModel, eval_term, evaluate
 from . import terms as T
-from .terms import Assumptions, Term, _TermParser, render_term
+from .terms import Assumptions, Term, parse_entailment, parse_term, render_term
 
 MODES = ("semantic", "symbolic", "both")
 QUERY_KINDS = ("check", "prove", "evaluate", "validate-axioms")
@@ -133,13 +133,6 @@ def _split_arrow(lineno, text, col):
         raise ParseError(lineno, col, "missing '->'")
     left, right = text.split("->", 1)
     return left.strip(), right.strip(), col + text.index("->") + 2
-
-
-def _parse_term_at(lineno, text, col) -> Term:
-    p = _TermParser(text, line=lineno, column_offset=col - 1)
-    t = p.parse_term()
-    p.finish()
-    return t
 
 
 def parse_scenario(text: str) -> ScenarioDoc:
@@ -224,7 +217,7 @@ def parse_scenario(text: str) -> ScenarioDoc:
             pname, expr = (s.strip() for s in rest.split("=", 1))
             if not pname.isidentifier():
                 raise ParseError(lineno, col, f"bad proposition name {pname!r}")
-            term = _parse_term_at(lineno, expr, col + body.index("=") + 1)
+            term = parse_term(expr, lineno, col + body.index("="))
             props.append((pname, term))
         elif head == "agent":
             if len(words) != 2:
@@ -276,14 +269,14 @@ def _parse_agent_block(lines, lineno, col, name) -> AgentDecl:
             return AgentDecl(name, tuple(sees), tuple(defs))
         if body.startswith("sees "):
             gen, rhs, rhs_col = _split_arrow(slineno, body[len("sees "):], scol + 5)
-            sees.append((gen, _parse_term_at(slineno, rhs, rhs_col)))
+            sees.append((gen, parse_term(rhs, slineno, rhs_col - 1)))
         elif body.startswith("def "):
             rest = body[len("def "):]
             if "=" not in rest:
                 raise ParseError(slineno, scol, "def wants 'def f[A](ATOM) = term'")
             head, rhs = (s.strip() for s in rest.split("=", 1))
             atom = _parse_def_head(slineno, scol, head, name)
-            term = _parse_term_at(slineno, rhs, scol + body.index("=") + 1)
+            term = parse_term(rhs, slineno, scol + body.index("="))
             defs.append((atom, term))
         else:
             raise ParseError(slineno, scol, "agent lines start with 'sees' or 'def'")
@@ -291,7 +284,7 @@ def _parse_agent_block(lines, lineno, col, name) -> AgentDecl:
 
 def _parse_def_head(lineno, col, head, agent) -> str:
     # shape: f[AGENT](ATOM), with AGENT matching the enclosing block
-    t = _parse_term_at(lineno, head, col)
+    t = parse_term(head, lineno, col - 1)
     if not (isinstance(t, T.App) and isinstance(t.arg, T.Atom)):
         raise ParseError(lineno, col, "def head must look like f[A](ATOM)")
     if t.agent != agent:
@@ -313,7 +306,7 @@ def _parse_action_block(lines, lineno, col, name) -> ActionDecl:
             communication = True
         elif body.startswith("update "):
             gen, rhs, rhs_col = _split_arrow(slineno, body[len("update "):], scol + 7)
-            updates.append((gen, _parse_term_at(slineno, rhs, rhs_col)))
+            updates.append((gen, parse_term(rhs, slineno, rhs_col - 1)))
         elif body.startswith("appears "):
             agent, target, _ = _split_arrow(slineno, body[len("appears "):], scol + 8)
             if not agent.isidentifier() or not target.isidentifier():
@@ -343,7 +336,7 @@ def _parse_query(lineno, body, col) -> Query:
             raise ParseError(lineno, rest_col, "validate-axioms takes no arguments")
         return Query(qid, kind)
     if kind == "evaluate":
-        term = _parse_term_at(lineno, rest, rest_col)
+        term = parse_term(rest, lineno, rest_col - 1)
         return Query(qid, kind, lhs=term)
 
     expect, depth = "holds", None
@@ -361,9 +354,7 @@ def _parse_query(lineno, body, col) -> Query:
             if depth < 1:
                 raise ParseError(lineno, depth_col, "depth must be at least 1")
 
-    p = _TermParser(rest, line=lineno, column_offset=rest_col - 1)
-    seq = p.parse_entailment()
-    p.finish()
+    seq = parse_entailment(rest, lineno, rest_col - 1)
     return Query(qid, kind, lhs=seq.lhs, rhs=seq.rhs, expect=expect, depth=depth)
 
 

@@ -1,5 +1,6 @@
 """CLI behavior: verdicts, exit codes, output parity between modes."""
 
+import argparse
 import json
 import os
 import re
@@ -27,6 +28,22 @@ def test_run_coin_honest_exits_zero(capsys):
     out = capsys.readouterr().out
     assert out.count("[check]: ok") == 6
     assert out.count("[prove]: ok") == 6
+
+
+def test_the_argument_parser_is_built_once_per_process(monkeypatch, capsys):
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "adjoint-kit":  # the top parser, not a subparser
+            builds.append(self)
+        init(self, *args, **kwargs)
+
+    cli.build_arg_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["validate", fixture_path("muddy-3.scn")]) == 0
+    assert main(["run", fixture_path("coin-honest.scn"), "--json"]) == 0
+    assert len(builds) == 1
 
 
 def test_run_json_schema(capsys):

@@ -1,9 +1,16 @@
-"""Term grammar: parse/render round-trips, spines, error positions."""
+"""Term grammar: parse/render round-trips, spines, error positions, and
+the interned node core."""
+
+import copy
+import gc
+import pickle
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from adjointkit import ParseError, parse_entailment, parse_term, render_term
+from adjointkit import ParseError, parse_entailment, parse_term, prove, render_term
 from adjointkit import terms as T
 
 AGENTS = st.sampled_from(["A", "B", "C1"])
@@ -50,7 +57,9 @@ def terms():
 
 @given(terms())
 def test_parse_render_round_trip(t):
-    assert parse_term(render_term(t)) == t
+    text = render_term(t)
+    assert parse_term(text) is t
+    assert parse_term(text) is parse_term(text)
 
 
 @given(terms(), terms())
@@ -105,3 +114,97 @@ def test_unknown_bracket_head_rejected():
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_term("H T")
+
+
+def test_node_fields_are_read_only():
+    t = parse_term("CK[A,B:2](f[A](H) \\/ upd[a](T))")
+    with pytest.raises(AttributeError):
+        t.arg = T.Bot()
+    with pytest.raises(AttributeError):
+        t.left = T.Bot()
+    with pytest.raises(AttributeError):
+        del t.depth
+    assert t.depth == 2
+
+
+def test_equal_nodes_are_one_object():
+    assert T.CK(("A",), T.Atom("H")) is T.CK(("A",), T.Atom("H"), None)
+    assert T.Not(T.Atom("H")).with_arg(T.Atom("T")) is T.Not(T.Atom("T"))
+    assert T.Upd(T.ActName("a"), T.Top()).with_arg(T.Bot()) is T.Upd(T.ActName("a"), T.Bot())
+    t = T.CK(("A",), T.Atom("H"), 3)
+    assert repr(t) == "CK(agents=('A',), arg=Atom(name='H'), depth=3)"
+    assert copy.deepcopy(t) is t and pickle.loads(pickle.dumps(t)) is t
+
+
+def test_intern_table_lets_go_of_a_finished_search():
+    # the table holds its nodes weakly: the terms of a search die with it
+    from test_derivation import O2_GOAL, lying_assumptions
+
+    assumptions = lying_assumptions()
+    gc.collect()
+    before = len(T._INTERNED)
+    outcome = prove(parse_entailment(O2_GOAL), assumptions, 16)
+    assert len(T._INTERNED) > before + 1000
+    del outcome
+    gc.collect()
+    assert len(T._INTERNED) == before
+
+
+# -- the tokenizer against the one it replaced ------------------------------
+
+_OLD_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*'?|[0-9]+)|(?P<op>\\/|/\\|\|=|->|[()\[\],:~]))"
+)
+
+
+def _old_tokenize(text, line, offset):
+    """The tokenizer as it was, one regex match per token and a token
+    object per match, with the objects written as tuples."""
+    out, i = [], 0
+    while i < len(text):
+        m = _OLD_TOKEN_RE.match(text, i)
+        if m is None:
+            stripped = text[i:].lstrip()
+            if not stripped:
+                break
+            col = offset + len(text) - len(stripped) + 1
+            raise ParseError(line, col, f"unexpected character {stripped[0]!r}")
+        kind = "name" if m.group("name") else "op"
+        out.append((kind, m.group(kind), offset + m.start(kind) + 1))
+        i = m.end()
+    out.append(("end", "", offset + len(text) + 1))
+    return out
+
+
+_PIECES = (
+    # names, keywords and numbers
+    "H", "T", "m1", "p_0", "_x", "f", "fi", "f'", "K", "B", "CK", "upd", "after",
+    "bot", "top", "a'", "7", "42", "09x", "'",
+    # operators, whole and in part
+    "\\/", "/\\", "|=", "->", "(", ")", "[", "]", ",", ":", "~",
+    "\\", "/", "|", "=", "-", ">",
+    # whitespace, ASCII and not
+    " ", "  ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\u00a0", "\u2003", "\u3000",
+    # stray characters
+    "$", "#", "!", ".", "\x00", "\u00e9", "\u00df", "\u0663", "\U0001f600", "\ufeff",
+)
+
+
+def _outcome(tokenize, text, line, offset):
+    try:
+        return tokenize(text, line, offset)
+    except ParseError as err:
+        return ("error", err.line, err.column, str(err))
+
+
+def test_tokenizer_matches_the_old_one_on_random_strings():
+    rng = random.Random(13)
+    errors = 0
+    for _ in range(20_000):
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randrange(13)))
+        line, offset = rng.randrange(1, 500), rng.randrange(60)
+        old = _outcome(_old_tokenize, text, line, offset)
+        assert _outcome(T._tokenize, text, line, offset) == old, repr(text)
+        errors += old[0] == "error"
+    # both outcomes occur often enough to mean something
+    assert 2_000 < errors < 18_000
