@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -418,11 +419,19 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
-    _print_report(report, args.json)
-    if args.command == "prove" and not args.json:
-        for v in report.verdicts:
-            if v.proof is not None:
-                print(render_proof(v.proof, "text"))
+    try:
+        _print_report(report, args.json)
+        if args.command == "prove" and not args.json:
+            for v in report.verdicts:
+                if v.proof is not None:
+                    print(render_proof(v.proof, "text"))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head -1`); the verdict stands,
+        # and the interpreter's last flush at exit must not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report.exit_code
 
 

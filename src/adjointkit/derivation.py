@@ -14,14 +14,18 @@ search always terminates. NotProved is a search verdict, not a refutation.
 
 The rules that rewrite inside a term (ActAppSubst, AppSubst, DefExpand,
 NoMiracle, JoinDistrib) share one top-down walker, _rewrite(t, step,
-first=False), and each supplies only its local step. step(node) returns
-None to descend into the node's subterms, a new term to take the node's
-place without visiting it again, or the node itself to keep the subtree
-unvisited (NoMiracle keeps ~ and B, which are not monotone positions).
-Without first, one call is one simultaneous pass, and redexes that a
-replacement creates wait for the next rule application; with first=True
-the walk stops after the first replacement in pre-order (DefExpand and
-NoMiracle rewrite one node per step).
+mask=None, first=False), and each supplies only its local step. step(node)
+returns None to descend into the node's subterms, a new term to take the
+node's place without visiting it again, or the node itself to keep the
+subtree unvisited (NoMiracle keeps ~ and B, which are not monotone
+positions). Without first, one call is one simultaneous pass, and redexes
+that a replacement creates wait for the next rule application; with
+first=True the walk stops after the first replacement in pre-order
+(DefExpand and NoMiracle rewrite one node per step). With a mask, a
+subtree whose redex flags (terms.Node.redex) share no bit with it comes
+back unvisited, so a rule walks only the paths to its redexes; each rule
+passes the bit of its own redex kind, and returns None at once when the
+goal holds none. Without a mask, step is called on every node.
 
 Within one prove call, search is tabled on the exact key (goal, budget),
 after OLDT resolution (Tamaki & Sato, 1986): each subgoal is expanded once
@@ -31,7 +35,12 @@ repeating it would only record dead ends that are already recorded and set
 a depth-exhausted flag that is already set. So the table changes no proof
 tree, no NotProved reason and no frontier, only the work. A failure is
 never reused at a smaller budget: that would keep the verdict but could
-report a different frontier.
+report a different frontier. A second table keeps each goal's successors
+for the whole call: its applicable moves (rule, children, note), in rule
+order, and how many rules have been tried. Rules are applied lazily, only
+as far as a search of the goal gets, so each rule is applied to a goal at
+most once per call, whatever the budgets it is expanded at. Both tables
+are emptied when the call returns.
 """
 
 from __future__ import annotations
@@ -134,32 +143,35 @@ class BadNode:
 
 # -- term rewriting -------------------------------------------------------------
 
-def _rewrite(t, step, first=False):
+def _rewrite(t, step, mask=None, first=False):
     """Rewrite t top-down with a rule's local step (the contract is in the
     module docstring). Untouched subtrees come back as the same objects, so
     the result is t when nothing was replaced."""
-    done = False
+    return _walk(t, step, mask, [] if first else None)
 
-    def rec(t):
-        nonlocal done
-        new = step(t)
-        if new is not None:
-            if first and new is not t:
-                done = True
-            return new
-        cls = type(t)
-        if cls is Or or cls is And:
-            left = rec(t.left)
-            right = t.right if done else rec(t.right)
-            if left is t.left and right is t.right:
-                return t
-            return cls(left, right)
-        if cls is Atom or cls is Bot or cls is Top:
+
+def _walk(t, step, mask, replaced):
+    # a module function rather than a closure over itself, so that a rewrite
+    # leaves no reference cycle for the cyclic GC; replaced is None without
+    # first, else it gets the first replacement
+    if mask is not None and not t.redex & mask:
+        return t
+    new = step(t)
+    if new is not None:
+        if replaced is not None and new is not t:
+            replaced.append(new)
+        return new
+    cls = type(t)
+    if cls is Or or cls is And:
+        left = _walk(t.left, step, mask, replaced)
+        right = t.right if replaced else _walk(t.right, step, mask, replaced)
+        if left is t.left and right is t.right:
             return t
-        arg = rec(t.arg)
-        return t if arg is t.arg else t.with_arg(arg)
-
-    return rec(t)
+        return cls(left, right)
+    if cls is Atom or cls is Bot or cls is Top:
+        return t
+    arg = _walk(t.arg, step, mask, replaced)
+    return t if arg is t.arg else t.with_arg(arg)
 
 
 def _resolve_actions(ref, table):
@@ -175,20 +187,25 @@ def _resolve_actions(ref, table):
     return ref, []
 
 
-def _act_app_subst(assumptions, used):
-    """Resolve every action position against the declared action appearances."""
-    table = assumptions.action_appearance
+class _ActAppSubst:
+    """Resolve every action position against the declared action appearances.
 
-    def step(t):
+    The step rewrites the argument below a resolved action itself; as a
+    closure that called itself it would be a reference cycle, left for the
+    cyclic GC after every application."""
+
+    def __init__(self, assumptions, used):
+        self.table = assumptions.action_appearance
+        self.used = used
+
+    def __call__(self, t):
         cls = type(t)
         if cls is not Upd and cls is not After:
             return None
-        ref, cited = _resolve_actions(t.action, table)
-        used.extend(cited)
-        arg = _rewrite(t.arg, step)
+        ref, cited = _resolve_actions(t.action, self.table)
+        self.used.extend(cited)
+        arg = _rewrite(t.arg, self, T.REDEX_ACT_APP)
         return cls(ref, arg) if cited or arg is not t.arg else t
-
-    return step
 
 
 def _app_subst(assumptions, used):
@@ -224,11 +241,12 @@ def _join_distrib(assumptions, used):
 
 
 # Rules that rewrite both sides in one simultaneous pass: the step each one
-# builds from the assumptions and a citation list, and its note.
+# builds from the assumptions and a citation list, its note, and the redex
+# kind its step acts on.
 _PASS_RULES = {
-    ACT_APP_SUBST: (_act_app_subst, "; ".join),
-    APP_SUBST: (_app_subst, lambda used: "substituted " + ", ".join(used)),
-    JOIN_DISTRIB: (_join_distrib, lambda used: "the maps preserve joins"),
+    ACT_APP_SUBST: (_ActAppSubst, "; ".join, T.REDEX_ACT_APP),
+    APP_SUBST: (_app_subst, lambda used: "substituted " + ", ".join(used), T.REDEX_APP_ATOM),
+    JOIN_DISTRIB: (_join_distrib, lambda used: "the maps preserve joins", T.REDEX_JOIN),
 }
 
 
@@ -299,15 +317,19 @@ def apply_rule(rule: str, seq: Sequent, assumptions: Assumptions):
         return None
 
     if rule in _PASS_RULES:
-        make_step, note = _PASS_RULES[rule]
+        make_step, note, mask = _PASS_RULES[rule]
+        if not seq.redex & mask:
+            return None
         used = []
         step = make_step(assumptions, used)
-        new_lhs, new_rhs = _rewrite(lhs, step), _rewrite(rhs, step)
+        new_lhs, new_rhs = _rewrite(lhs, step, mask), _rewrite(rhs, step, mask)
         if not used and new_lhs is lhs and new_rhs is rhs:
             return None
         return [Sequent(new_lhs, new_rhs)], note(used)
 
     if rule == DEF_EXPAND:
+        if not seq.redex & T.REDEX_DEF:
+            return None
         unfolded = []
 
         def step(t):
@@ -316,8 +338,8 @@ def apply_rule(rule: str, seq: Sequent, assumptions: Assumptions):
                 unfolded.append(type(t).__name__)
             return new
 
-        new_lhs = _rewrite(lhs, step, first=True)
-        new_rhs = rhs if unfolded else _rewrite(rhs, step, first=True)
+        new_lhs = _rewrite(lhs, step, T.REDEX_DEF, first=True)
+        new_rhs = rhs if unfolded else _rewrite(rhs, step, T.REDEX_DEF, first=True)
         if not unfolded:
             return None
         return [Sequent(new_lhs, new_rhs)], f"unfolded the definition of {unfolded[0]}"
@@ -337,6 +359,8 @@ def apply_rule(rule: str, seq: Sequent, assumptions: Assumptions):
     if rule == NO_MIRACLE:
         # the first f[A](upd[a](s)) in a monotone position (not under ~ or B),
         # with a a concrete action whose appearance to A is declared
+        if not lhs.redex & T.REDEX_NO_MIRACLE:
+            return None
         table = assumptions.action_appearance
         redexes = []
 
@@ -349,7 +373,7 @@ def apply_rule(rule: str, seq: Sequent, assumptions: Assumptions):
                     return Upd(ActApp(t.agent, ref), App(t.agent, t.arg.arg))
             return t if cls is Not or cls is Believe else None
 
-        new_lhs = _rewrite(lhs, step, first=True)
+        new_lhs = _rewrite(lhs, step, T.REDEX_NO_MIRACLE, first=True)
         if not redexes:
             return None
         agent, action = redexes[0].agent, redexes[0].arg.action
@@ -371,6 +395,7 @@ def apply_rule(rule: str, seq: Sequent, assumptions: Assumptions):
 # -- search ----------------------------------------------------------------------
 
 _UNSEEN = object()
+_NO_MOVES = ((), 0)  # a goal's successors before any rule is tried
 
 
 def prove(
@@ -386,7 +411,27 @@ def prove(
     order = RULE_ORDER_NO_KERNEL_SHORTCUT if no_kernel_shortcut else RULE_ORDER
     dead_ends: dict[Sequent, None] = {}  # insertion-ordered set
     table: dict[tuple[Sequent, int], ProofNode | None] = {}
+    # goal -> (its moves (rule, children, note) found so far, rules tried)
+    successors: dict[Sequent, tuple[tuple, int]] = {}
     depth_exhausted = False
+
+    def next_move(goal: Sequent, k: int):
+        """The goal's k-th applicable move, or None after the last one. A
+        search asks for k = 0, 1, ... in turn, so k never passes the moves
+        found so far by more than one."""
+        moves, tried = successors.get(goal, _NO_MOVES)
+        if k < len(moves):
+            return moves[k]
+        while tried < len(order):
+            rule = order[tried]
+            tried += 1
+            res = apply_rule(rule, goal, assumptions)
+            if res is not None:
+                move = (rule, *res)
+                successors[goal] = (*moves, move), tried
+                return move
+        successors[goal] = moves, tried
+        return None
 
     def search(goal: Sequent, budget: int):
         nonlocal depth_exhausted
@@ -402,13 +447,10 @@ def prove(
         return found
 
     def expand(goal: Sequent, budget: int):
-        applied_any = False
-        for rule in order:
-            res = apply_rule(rule, goal, assumptions)
-            if res is None:
-                continue
-            applied_any = True
-            children, note = res
+        k = 0
+        while (move := next_move(goal, k)) is not None:
+            k += 1
+            rule, children, note = move
             kids = []
             for child in children:
                 sub = search(child, budget - 1)
@@ -417,15 +459,22 @@ def prove(
                 kids.append(sub)
             else:
                 return ProofNode(goal, rule, note, tuple(kids))
-        if not applied_any:
+        if k == 0:
             dead_ends.setdefault(goal)
         return None
 
-    tree = search(seq, max_depth)
-    if tree is not None:
-        return tree
-    reason = "depth_exhausted" if depth_exhausted else "no_applicable_rule"
-    return NotProved(reason, tuple(dead_ends)[:16])
+    try:
+        tree = search(seq, max_depth)
+        if tree is not None:
+            return tree
+        reason = "depth_exhausted" if depth_exhausted else "no_applicable_rule"
+        return NotProved(reason, tuple(dead_ends)[:16])
+    finally:
+        # search and expand refer to each other, so they and the tables they
+        # hold would wait for the cyclic GC; let go of the goals now
+        table.clear()
+        successors.clear()
+        dead_ends.clear()
 
 
 def verify_tree(tree: ProofNode, assumptions: Assumptions):

@@ -18,8 +18,17 @@ identity rather than walks of the tree, and a node rebuilt equal to its
 input is that input. The table holds its nodes weakly, so a term lives only
 as long as a caller holds it: a strong table kept every term of every proof
 search alive, and raised the peak resident size of the in-process
-prove-nested benchmark from 21.5 to 25.3 MB. Nodes are built from one
-thread; two threads could intern equal nodes twice.
+prove-nested benchmark from 21.5 to 25.3 MB. It is a plain dict from key to
+a weakref.KeyedRef, whose one removal callback drops the entry when its node
+dies, so an interned hit is a dict lookup and a call of the reference, with
+no Python-level WeakValueDictionary.get. Nodes are built from one thread;
+two threads could intern equal nodes twice.
+
+Every node carries redex flags, computed once when it is built: node.redex
+is the OR of its children's flags and of the REDEX_* kinds of the node
+itself. Each kind is the shape that one of the prover's rewriting rules
+acts on, so a rule can return a subtree untouched in O(1) when the subtree
+holds no redex of its kind (derivation._rewrite).
 """
 
 from __future__ import annotations
@@ -30,26 +39,57 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError
 
-_INTERNED = weakref.WeakValueDictionary()
+# key (class, *fields) -> weakref.KeyedRef to the node
+_INTERNED: dict = {}
+
+
+def _forget(ref, table=_INTERNED):
+    """Removal callback: drop a dead node's entry, unless an equal node has
+    taken its key since."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+# Redex kinds, one bit each: the shapes the prover's rewriting rules act on.
+REDEX_ACT_APP = 1      # upd[f'[A](a)](t), after[f'[A](a)](t): ActAppSubst
+REDEX_APP_ATOM = 2     # f[A](atom): AppSubst
+REDEX_DEF = 4          # K[A](t), B[A](t), CK[..:n](t): DefExpand
+REDEX_JOIN = 8         # f[A] or upd[a] over \/ or bot: JoinDistrib
+REDEX_NO_MIRACLE = 16  # f[A](upd[a](t)) with a an action name: NoMiracle
 
 
 class Node:
     """An immutable interned node. Subclasses list their fields in
-    __slots__, in constructor order."""
+    __slots__, in constructor order; a subclass with a redex kind of its
+    own computes its flags from those fields in _redex."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "redex")
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = _INTERNED.get(key)
-        if node is None:
-            if len(fields) != len(cls.__slots__):
-                raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}")
-            node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(node, name, value)
-            _INTERNED[key] = node
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}")
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "redex", cls._redex(*fields))
+        _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
         return node
+
+    @staticmethod
+    def _redex(*fields):
+        """The node's redex flags: here those of its children, for the
+        kinds that have none of their own."""
+        redex = 0
+        for value in fields:
+            if isinstance(value, Node):
+                redex |= value.redex
+        return redex
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"field {name!r} of an interned node is read-only")
@@ -121,6 +161,17 @@ class App(Node):
 
     __slots__ = ("agent", "arg")
 
+    @staticmethod
+    def _redex(agent, arg):
+        kind = type(arg)
+        if kind is Atom:
+            return REDEX_APP_ATOM
+        if kind is Or or kind is Bot:
+            return arg.redex | REDEX_JOIN
+        if kind is Upd and type(arg.action) is ActName:
+            return arg.redex | REDEX_NO_MIRACLE
+        return arg.redex
+
 
 class Info(Node):
     """fi[A](t): agent A is informed that t."""
@@ -131,9 +182,17 @@ class Info(Node):
 class Know(Node):
     __slots__ = ("agent", "arg")
 
+    @staticmethod
+    def _redex(agent, arg):
+        return arg.redex | REDEX_DEF
+
 
 class Believe(Node):
     __slots__ = ("agent", "arg")
+
+    @staticmethod
+    def _redex(agent, arg):
+        return arg.redex | REDEX_DEF
 
 
 class CK(Node):
@@ -147,17 +206,35 @@ class CK(Node):
     def __new__(cls, agents: tuple[str, ...], arg: "Term", depth: int | None = None):
         return Node.__new__(cls, agents, arg, depth)
 
+    @staticmethod
+    def _redex(agents, arg, depth):
+        return arg.redex if depth is None else arg.redex | REDEX_DEF
+
 
 class Upd(Node):
     """upd[a](t): update of t along action a."""
 
     __slots__ = ("action", "arg")
 
+    @staticmethod
+    def _redex(action, arg):
+        redex = arg.redex
+        if type(action) is ActApp:
+            redex |= REDEX_ACT_APP
+        kind = type(arg)
+        if kind is Or or kind is Bot:
+            redex |= REDEX_JOIN
+        return redex
+
 
 class After(Node):
     """after[a](t): after action a, t holds."""
 
     __slots__ = ("action", "arg")
+
+    @staticmethod
+    def _redex(action, arg):
+        return arg.redex | REDEX_ACT_APP if type(action) is ActApp else arg.redex
 
 
 Term = Atom | Bot | Top | Or | And | Not | App | Info | Know | Believe | CK | Upd | After

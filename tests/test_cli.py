@@ -355,6 +355,29 @@ def test_powerset_commands_never_import_numpy():
     assert [argv for argv, _, numpy in seen if numpy] == []
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["run", "coin-honest.scn", "--json"], 0),
+    (["run", "broken-miracle.scn", "--json"], 2),
+    (["prove", "coin-lying.scn", "q3"], 0),
+])
+def test_a_closed_stdout_keeps_the_exit_code_and_writes_no_traceback(argv, code):
+    # as in `adjoint-kit run x.scn --json | head -1`, with the reader gone
+    # before the first write
+    src = Path(adjointkit.__file__).resolve().parent.parent
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "adjointkit.cli", *argv],
+            cwd=Path(fixture_path("coin-honest.scn")).parent,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+
+
 def test_validate_broken_miracle_exits_two(capsys):
     code = main(["validate", fixture_path("broken-miracle.scn")])
     out = capsys.readouterr().out

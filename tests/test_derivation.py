@@ -1,6 +1,7 @@
 """Proof search, tree verification, rendering, and the golden derivations."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -605,3 +606,21 @@ def test_tabled_search_expands_each_goal_once_per_budget(monkeypatch):
     outcome = prove(parse_entailment(O2_GOAL), lying_assumptions(), 12)
     assert isinstance(outcome, NotProved)
     assert calls <= 11_000
+
+
+@pytest.mark.parametrize("depth", [8, 10, 12])
+def test_each_rule_meets_each_goal_once_per_call(monkeypatch, depth):
+    # the successor cache: a goal searched at several budgets, or reached
+    # again below itself, reuses the moves found for it
+    pairs = Counter()
+    apply_rule = derivation.apply_rule
+
+    def counted(rule, goal, assumptions):
+        pairs[(rule, goal)] += 1
+        return apply_rule(rule, goal, assumptions)
+
+    monkeypatch.setattr(derivation, "apply_rule", counted)
+    outcome = prove(parse_entailment(O2_GOAL), lying_assumptions(), depth)
+    assert isinstance(outcome, NotProved)
+    assert len(pairs) > 500
+    assert [pair for pair, n in pairs.items() if n > 1] == []

@@ -8,6 +8,7 @@ return exactly what the reference returns, None included.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adjointkit import derivation, prove
 from adjointkit.derivation import (
@@ -507,3 +508,73 @@ def test_every_rule_matches_the_reference_on_random_terms():
             fired[rule] += got is not None
     for rule in REWRITE_RULES:
         assert fired[rule] >= 200, (rule, fired[rule])
+
+
+# -- the same on hypothesis-drawn terms ------------------------------------------
+
+_AGENTS = st.sampled_from("ABC")
+_ACTION_NAMES = st.sampled_from(("a", "abar", "b")).map(ActName)
+
+
+def _terms():
+    """Terms over the agents and actions of the lying coin, so that the
+    assumptions resolve many of the appearances drawn."""
+    refs = st.recursive(_ACTION_NAMES, lambda inner: st.builds(ActApp, _AGENTS, inner),
+                        max_leaves=3)
+    base = st.one_of(st.sampled_from("HTp").map(Atom), st.just(Bot()), st.just(Top()))
+
+    def extend(inner):
+        return st.one_of(
+            st.builds(Or, inner, inner),
+            st.builds(And, inner, inner),
+            st.builds(Not, inner),
+            st.builds(lambda agent, action, t: App(agent, Upd(action, t)),
+                      _AGENTS, _ACTION_NAMES, inner),
+            *(st.builds(ctor, _AGENTS, inner) for ctor in (App, Info, Know, Believe)),
+            st.builds(CK, st.lists(_AGENTS, min_size=1, max_size=3, unique=True).map(tuple),
+                      inner, st.one_of(st.none(), st.integers(0, 2))),
+            st.builds(Upd, refs, inner),
+            st.builds(After, refs, inner),
+        )
+
+    return st.recursive(base, extend, max_leaves=10)
+
+
+_FIXED = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+@_FIXED
+@given(_terms(), _terms())
+def test_every_rule_matches_the_reference_on_drawn_sequents(lhs, rhs):
+    from test_derivation import lying_assumptions
+
+    goal, assumptions = Sequent(lhs, rhs), lying_assumptions()
+    for rule in RULE_ORDER:
+        assert derivation.apply_rule(rule, goal, assumptions) == reference_apply_rule(
+            rule, goal, assumptions
+        ), rule
+
+
+def _positions(t, mask=None):
+    """Every node of t in pre-order, one entry per position; with a mask, no
+    node below a subtree whose flags share no bit with it."""
+    if mask is not None and not t.redex & mask:
+        return []
+    out = [t]
+    for child in T.children(t):
+        out.extend(_positions(child, mask))
+    return out
+
+
+@_FIXED
+@given(_terms(), st.sampled_from((None, T.REDEX_DEF, T.REDEX_JOIN | T.REDEX_APP_ATOM)))
+def test_rewrite_calls_step_on_every_node_the_mask_admits(t, mask):
+    # without a mask that is every node, flags or none
+    seen = []
+
+    def step(node):
+        seen.append(node)
+        return None
+
+    assert derivation._rewrite(t, step, mask) is t
+    assert seen == _positions(t, mask)

@@ -8,7 +8,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adjointkit import ParseError, parse_entailment, parse_term, prove, render_term
 from adjointkit import terms as T
@@ -116,6 +116,31 @@ def test_trailing_input_rejected():
         parse_term("H T")
 
 
+def _redex_from_scratch(t):
+    """The redex flags of t by a walk of the whole tree."""
+    own = 0
+    if isinstance(t, (T.Upd, T.After)) and isinstance(t.action, T.ActApp):
+        own |= T.REDEX_ACT_APP
+    if isinstance(t, T.App) and isinstance(t.arg, T.Atom):
+        own |= T.REDEX_APP_ATOM
+    if isinstance(t, (T.Know, T.Believe)) or isinstance(t, T.CK) and t.depth is not None:
+        own |= T.REDEX_DEF
+    if isinstance(t, (T.App, T.Upd)) and isinstance(t.arg, (T.Or, T.Bot)):
+        own |= T.REDEX_JOIN
+    if isinstance(t, T.App) and isinstance(t.arg, T.Upd) and isinstance(t.arg.action, T.ActName):
+        own |= T.REDEX_NO_MIRACLE
+    for child in T.children(t):
+        own |= _redex_from_scratch(child)
+    return own
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(terms(), terms())
+def test_redex_flags_equal_a_walk_of_the_tree(lhs, rhs):
+    assert lhs.redex == _redex_from_scratch(lhs)
+    assert T.Sequent(lhs, rhs).redex == _redex_from_scratch(lhs) | _redex_from_scratch(rhs)
+
+
 def test_node_fields_are_read_only():
     t = parse_term("CK[A,B:2](f[A](H) \\/ upd[a](T))")
     with pytest.raises(AttributeError):
@@ -136,18 +161,46 @@ def test_equal_nodes_are_one_object():
     assert copy.deepcopy(t) is t and pickle.loads(pickle.dumps(t)) is t
 
 
-def test_intern_table_lets_go_of_a_finished_search():
+def test_intern_table_lets_go_of_a_finished_search(monkeypatch):
     # the table holds its nodes weakly: the terms of a search die with it
+    from adjointkit import derivation
     from test_derivation import O2_GOAL, lying_assumptions
 
     assumptions = lying_assumptions()
+    goal = parse_entailment(O2_GOAL)
     gc.collect()
     before = len(T._INTERNED)
-    outcome = prove(parse_entailment(O2_GOAL), assumptions, 16)
-    assert len(T._INTERNED) > before + 1000
+    peak = before
+    apply_rule = derivation.apply_rule
+
+    def watched(*args):
+        nonlocal peak
+        peak = max(peak, len(T._INTERNED))
+        return apply_rule(*args)
+
+    monkeypatch.setattr(derivation, "apply_rule", watched)
+    outcome = prove(goal, assumptions, 16)
+    assert peak > before + 1000
     del outcome
     gc.collect()
     assert len(T._INTERNED) == before
+
+
+def test_a_dropped_search_frees_its_terms_without_the_cyclic_gc():
+    # prove empties its tables on return, and no rule leaves a reference
+    # cycle that holds a term, so reference counting alone frees them
+    from test_derivation import O2_GOAL, lying_assumptions
+
+    assumptions = lying_assumptions()
+    goal = parse_entailment(O2_GOAL)
+    gc.collect()
+    before = len(T._INTERNED)
+    gc.disable()
+    try:
+        prove(goal, assumptions, 12)
+        assert len(T._INTERNED) == before
+    finally:
+        gc.enable()
 
 
 # -- the tokenizer against the one it replaced ------------------------------
