@@ -556,8 +556,8 @@ def test_every_rule_matches_the_reference_on_drawn_sequents(lhs, rhs):
 
 
 def _positions(t, mask=None):
-    """Every node of t in pre-order, one entry per position; with a mask, no
-    node below a subtree whose flags share no bit with it."""
+    """Every node of t in pre-order, one entry per position; with a mask,
+    none of a subtree whose flags share no bit with the mask."""
     if mask is not None and not t.redex & mask:
         return []
     out = [t]
