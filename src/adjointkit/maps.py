@@ -3,8 +3,9 @@
 A join-preserving f determines a meet-preserving right adjoint by
 f*(b) = join of every b' with f(b') <= b, and a meet-preserving g a
 join-preserving left adjoint by g*(b) = meet of every b' with b <= g(b').
-On an explicit order both are computed by exactly that enumeration over
-the lattice tables, with numpy.
+On an explicit order each is one numpy pass over the order table: the
+join of the candidates b' is the candidate with the largest down-set, the
+meet the one with the largest up-set.
 
 On a powerset P(W) a join-preserving f is fixed by the relation
 R(w) = f({w}): f(S) = R[S], and f*(S) = {w : R(w) <= S} (Jonsson and
@@ -18,6 +19,9 @@ check look for the first witness.
 Map flavor (join-preserving / meet-preserving / unclassified) is tracked
 explicitly and operations demand the flavor they need, so misuse fails
 loudly instead of silently producing junk.
+
+Tables are validated where they enter (map_from_table, map_from_generators,
+identity_map, constant_map); every other table is derived from such maps.
 """
 
 from __future__ import annotations
@@ -63,15 +67,16 @@ class PreservationViolation:
 
 
 class LatticeMap:
-    """A total endo-map given by its image table."""
+    """A total endo-map given by its image table. The constructor trusts the
+    table; map_from_table is the entry point that validates images."""
 
     __slots__ = ("lattice", "table", "kind")
 
     def __init__(self, lattice: FiniteLattice, table, kind: str = UNCLASSIFIED):
         if kind not in (JOIN_PRESERVING, MEET_PRESERVING, UNCLASSIFIED):
             raise ValueError(f"unknown map kind {kind!r}")
-        table = tuple(int(i) for i in table)
-        if len(table) != lattice.n or not all(0 <= i < lattice.n for i in table):
+        table = tuple(table)
+        if len(table) != lattice.n:
             raise InternalError("image table does not match the lattice")
         self.lattice = lattice
         self.table = table
@@ -163,14 +168,12 @@ def map_from_generators(lattice: FiniteLattice, assignments: dict) -> LatticeMap
     if lattice.worlds is not None:
         # the irreducibles are the singletons, in mask order
         return LatticeMap(lattice, _from_atoms([images[e.index] for e in irr]), JOIN_PRESERVING)
-    table = []
-    for x in range(lattice.n):
-        acc = lattice.bottom.index
-        for j in needed:
-            if lattice.leq[j, x]:
-                acc = lattice.join_table[acc, images[j]]
-        table.append(acc)
-    m = LatticeMap(lattice, table, JOIN_PRESERVING)
+    import numpy as np
+
+    table = np.full(lattice.n, lattice.bottom.index)
+    for j, img in images.items():
+        table = np.where(lattice.leq[j], lattice.join_table[table, img], table)
+    m = LatticeMap(lattice, table.tolist(), JOIN_PRESERVING)
     if not lattice.is_distributive:
         violation = validate_join_preserving(m)
         if violation is not None:
@@ -245,13 +248,10 @@ def right_adjoint(f: LatticeMap) -> AdjointPair:
     else:
         import numpy as np
 
-        t = f.as_array()
-        table = []
-        for b in range(lat.n):
-            acc = lat.bottom.index
-            for bp in np.where(lat.leq[t, b])[0]:
-                acc = lat.join_table[acc, bp]
-            table.append(acc)
+        # the candidates b' with f(b') <= b are closed under joins, so their
+        # join is the one candidate whose down-set is strictly the largest
+        below = lat.leq.sum(axis=0)
+        table = np.where(lat.leq[f.as_array(), :], below[:, None], -1).argmax(axis=0).tolist()
     fstar = LatticeMap(lat, table, MEET_PRESERVING)
     return AdjointPair(left=f, right=fstar)
 
@@ -266,13 +266,9 @@ def left_adjoint(g: LatticeMap) -> AdjointPair:
     else:
         import numpy as np
 
-        t = g.as_array()
-        table = []
-        for b in range(lat.n):
-            acc = lat.top.index
-            for bp in np.where(lat.leq[b, t])[0]:
-                acc = lat.meet_table[acc, bp]
-            table.append(acc)
+        # dually, the meet of the candidates has the largest up-set
+        above = lat.leq.sum(axis=1)
+        table = np.where(lat.leq[:, g.as_array()], above, -1).argmax(axis=1).tolist()
     gstar = LatticeMap(lat, table, JOIN_PRESERVING)
     return AdjointPair(left=gstar, right=g)
 
@@ -330,7 +326,7 @@ def pointwise_join(f: LatticeMap, g: LatticeMap) -> LatticeMap:
     if lat.worlds is not None:
         table = map(operator.or_, f.table, g.table)
     else:
-        table = lat.join_table[f.as_array(), g.as_array()]
+        table = lat.join_table[f.as_array(), g.as_array()].tolist()
     kind = JOIN_PRESERVING if f.kind == g.kind == JOIN_PRESERVING else UNCLASSIFIED
     return LatticeMap(lat, table, kind)
 
@@ -341,7 +337,7 @@ def pointwise_meet(f: LatticeMap, g: LatticeMap) -> LatticeMap:
     if lat.worlds is not None:
         table = map(operator.and_, f.table, g.table)
     else:
-        table = lat.meet_table[f.as_array(), g.as_array()]
+        table = lat.meet_table[f.as_array(), g.as_array()].tolist()
     kind = MEET_PRESERVING if f.kind == g.kind == MEET_PRESERVING else UNCLASSIFIED
     return LatticeMap(lat, table, kind)
 

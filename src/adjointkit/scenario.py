@@ -422,7 +422,15 @@ def _resolve(doc: ScenarioDoc):
             if ground and kind != "atom":
                 raise ResolutionError(f"{where} must be a ground term")
 
+    def no_repeats(keys, block, line):
+        seen = set()
+        for k in keys:
+            if k in seen:
+                raise ResolutionError(f"{block} repeats '{line} {k}'")
+            seen.add(k)
+
     for a in doc.agents:
+        no_repeats((gen for gen, _ in a.sees), f"agent {a.name!r}", "sees")
         for gen, term in a.sees:
             if gen not in carrier:
                 raise ResolutionError(
@@ -435,6 +443,8 @@ def _resolve(doc: ScenarioDoc):
             check_term(term, f"agent {a.name!r} definition")
 
     for act in doc.actions:
+        no_repeats((gen for gen, _ in act.updates), f"action {act.name!r}", "update")
+        no_repeats((agent for agent, _ in act.appears), f"action {act.name!r}", "appears")
         for gen, term in act.updates:
             if gen not in carrier:
                 raise ResolutionError(f"action {act.name!r} updates undeclared element {gen!r}")
@@ -457,8 +467,8 @@ def _resolve(doc: ScenarioDoc):
         if q.id in seen_q:
             raise ResolutionError(f"duplicate query id {q.id!r}")
         seen_q.add(q.id)
-        if q.kind == "check" and doc.mode == "symbolic":
-            raise ResolutionError(f"query {q.id!r}: check needs a semantic scenario")
+        if q.kind in ("check", "evaluate") and doc.mode == "symbolic":
+            raise ResolutionError(f"query {q.id!r}: {q.kind} needs a semantic scenario")
         if q.kind == "prove" and doc.mode == "semantic":
             raise ResolutionError(f"query {q.id!r}: prove needs a symbolic scenario")
         for term in (q.lhs, q.rhs):

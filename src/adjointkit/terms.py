@@ -363,11 +363,19 @@ def _tokenize(text: str, line: int, offset: int) -> list[tuple[str, str, int]]:
     return out
 
 
+# How deep a term may nest: each parenthesis, operator argument and
+# f'[A](...) in an action position counts one level, and so does each ~ not
+# followed by a parenthesis, so that render_term's ~(~t) re-parses. It keeps
+# the recursive parser, evaluator, renderer and prover inside Python's stack.
+MAX_TERM_NESTING = 100
+
+
 class _TermParser:
     def __init__(self, text: str, line: int = 1, column_offset: int = 0):
         self.line = line
         self.tokens = _tokenize(text, line, column_offset)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -386,6 +394,15 @@ class _TermParser:
 
     def fail(self, message: str, expected=None):
         raise ParseError(self.line, self.peek()[2], message, expected=expected)
+
+    def nested(self, parse):
+        """parse() one nesting level deeper, failing past MAX_TERM_NESTING."""
+        if self.depth == MAX_TERM_NESTING:
+            self.fail(f"term nested more than {MAX_TERM_NESTING} levels deep")
+        self.depth += 1
+        t = parse()
+        self.depth -= 1
+        return t
 
     # grammar
 
@@ -406,14 +423,16 @@ class _TermParser:
     def parse_unary(self) -> Term:
         if self.peek()[1] == "~":
             self.next()
-            return Not(self.parse_unary())
+            if self.peek()[1] == "(":
+                return Not(self.parse_unary())
+            return Not(self.nested(self.parse_unary))
         return self.parse_primary()
 
     def parse_primary(self) -> Term:
         kind, head, column = self.peek()
         if head == "(":
             self.next()
-            t = self.parse_term()
+            t = self.nested(self.parse_term)
             self.expect(")")
             return t
         if kind != "name":
@@ -442,7 +461,7 @@ class _TermParser:
             agent = self._parse_name()
             self.expect("]")
             self.expect("(")
-            inner = self._parse_action_ref()
+            inner = self.nested(self._parse_action_ref)
             self.expect(")")
             return ActApp(agent, inner)
         return ActName(name)
@@ -468,7 +487,7 @@ class _TermParser:
             label = self._parse_name()
         self.expect("]")
         self.expect("(")
-        arg = self.parse_term()
+        arg = self.nested(self.parse_term)
         self.expect(")")
         return CK(label, arg, depth) if cls is CK else cls(label, arg)
 

@@ -440,6 +440,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["run", str(bad)]) == 3
 
 
+def test_evaluate_in_a_symbolic_scenario_exits_three(tmp_path, capsys):
+    scn = tmp_path / "sym.scn"
+    scn.write_text("version 1\nscenario x\nmode symbolic\nworlds h\nprop H = h\n"
+                   "query e1 evaluate H\n")
+    assert main(["run", str(scn)]) == 3
+    assert "evaluate needs a semantic scenario" in capsys.readouterr().err
+
+
 def test_failing_expectation_exit_code(tmp_path, capsys):
     text = (resources.files("adjointkit") / "scenarios" / "muddy-3.scn").read_text()
     flipped = text.replace(

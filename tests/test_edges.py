@@ -80,6 +80,15 @@ def test_duplicate_declarations_rejected():
             base + "agent A\n  sees w -> w\nend\n"
             "query q check w |= w\nquery q check w |= w\n"
         )
+    repeats = [
+        ("agent A\n  sees w -> w\n  sees w -> bot\nend\n", "agent 'A' repeats 'sees w'"),
+        ("action a\n  update w -> w\n  update w -> bot\nend\n", "action 'a' repeats 'update w'"),
+        ("agent A\n  sees w -> w\nend\naction a\n  update w -> w\n  appears A -> a\n"
+         "  appears A -> a\nend\n", "action 'a' repeats 'appears A'"),
+    ]
+    for block, message in repeats:
+        with pytest.raises(ResolutionError, match=message):
+            parse_scenario(base + block)
 
 
 def test_powerset_of_one_world():

@@ -37,7 +37,16 @@ from adjointkit import (
 )
 from adjointkit.maps import LatticeMap, UNCLASSIFIED, constant_map
 from adjointkit.errors import MissingGenerator
-from conftest import coin_appearance, random_join_map, random_lattice
+from conftest import (
+    coin_appearance,
+    m3_lattice,
+    n5_lattice,
+    random_bounded_poset,
+    random_join_map,
+    random_lattice,
+    random_powerset,
+    table_twin,
+)
 
 
 def brute_right_adjoint_table(lat, f):
@@ -45,6 +54,23 @@ def brute_right_adjoint_table(lat, f):
     table = []
     for b in lat.elements:
         table.append(lat.join(bp for bp in lat.elements if lat.leq_(f(bp), b)).index)
+    return tuple(table)
+
+
+def brute_left_adjoint_table(lat, g):
+    """g*(b) = meet of all b' with b <= g(b'), computed with plain loops."""
+    table = []
+    for b in lat.elements:
+        table.append(lat.meet(bp for bp in lat.elements if lat.leq_(b, g(bp))).index)
+    return tuple(table)
+
+
+def brute_generator_table(lat, assignments):
+    """f(x) = join of the images of the irreducibles below x, with plain
+    loops."""
+    table = []
+    for x in lat.elements:
+        table.append(lat.join(img for j, img in assignments.items() if lat.leq_(j, x)).index)
     return tuple(table)
 
 
@@ -294,11 +320,32 @@ def test_adjoint_corollaries_random(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_adjoints_unique_roundtrip(seed):
+    """The adjoints and the generator extension agree with the defining
+    formulas on explicit orders of every kind, including M3, N5 and a
+    powerset's twin in scrambled order, and on the powerset itself; every
+    derived table is a tuple of Python ints."""
     rng = random.Random(400 + seed)
-    lat = random_lattice(rng)
-    f = random_join_map(rng, lat)
-    fstar = right_adjoint(f).right
-    assert left_adjoint(fstar).left == f
+    pw = random_powerset(rng, max_worlds=4)
+    scrambled = list(range(pw.n))
+    rng.shuffle(scrambled)
+    carriers = [random_lattice(rng), m3_lattice(), n5_lattice(), random_bounded_poset(rng),
+                table_twin(pw, scrambled), pw]
+    for lat in carriers:
+        gens = {j: rng.choice(lat.elements) for j in lat.join_irreducibles()}
+        brute = brute_generator_table(lat, gens)
+        try:
+            assert map_from_generators(lat, gens).table == brute
+        except NotJoinPreserving:
+            assert validate_join_preserving(LatticeMap(lat, brute)) is not None
+        f = random_join_map(rng, lat)
+        fstar = right_adjoint(f).right
+        assert fstar.table == brute_right_adjoint_table(lat, f)
+        assert left_adjoint(fstar).left == f
+        assert left_adjoint(fstar).left.table == brute_left_adjoint_table(lat, fstar)
+        derived = [f, fstar, left_adjoint(fstar).left, compose(f, fstar), pointwise_join(f, f),
+                   pointwise_meet(fstar, fstar), lfp_join(f), gfp_meet(fstar)]
+        for m in derived:
+            assert type(m.table) is tuple and all(type(i) is int for i in m.table)
 
 
 @pytest.mark.parametrize("seed", range(8))

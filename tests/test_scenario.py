@@ -100,6 +100,8 @@ def test_mode_query_compatibility():
         parse_scenario(base.format(mode="symbolic") + "query q1 check p |= p\n")
     with pytest.raises(ResolutionError):
         parse_scenario(base.format(mode="semantic") + "query q1 prove p |= p\n")
+    with pytest.raises(ResolutionError):
+        parse_scenario(base.format(mode="symbolic") + "query q1 evaluate p\n")
 
 
 @pytest.mark.parametrize("name", FIXTURES)

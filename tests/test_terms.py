@@ -106,6 +106,28 @@ def test_parse_error_positions():
     assert err.value.expected == "')'"
 
 
+@pytest.mark.parametrize("head, tail", [("(", ")"), ("~", ""), ("f[A](", ")"),
+                                        ("after[a](", ")"), ("CK[A,B:3](", ")")])
+def test_term_nesting_limit(head, tail):
+    """The deepest term the grammar accepts still evaluates, renders and is
+    searched at the default depth; one level more is a located ParseError."""
+    from importlib import resources
+
+    from adjointkit import instantiate, parse_scenario
+    from adjointkit.semantics import eval_term
+
+    n = T.MAX_TERM_NESTING
+    text = (resources.files("adjointkit") / "scenarios" / "coin-honest.scn").read_text()
+    inst = instantiate(parse_scenario(text))
+    deepest = parse_term(head * n + "H" + tail * n)
+    eval_term(inst.model, deepest)
+    assert parse_term(render_term(deepest)) == deepest
+    prove(parse_entailment(f"H |= {render_term(deepest)}"), inst.assumptions)
+    with pytest.raises(ParseError, match="nested more than") as err:
+        parse_term(head * (n + 1) + "H" + tail * (n + 1))
+    assert (err.value.line, err.value.column) == (1, len(head) * (n + 1) + 1)
+
+
 def test_unknown_bracket_head_rejected():
     with pytest.raises(ParseError):
         parse_term("zap[A](H)")
