@@ -5,6 +5,9 @@ Exit codes: 0 all verdicts pass, 1 query failure or unproved goal,
 error, 4 internal invariant breach (a proved goal that fails semantically).
 Exit codes are a function of the verdicts alone; --json switches the
 rendering, never the outcome.
+
+A command imports only what it runs: derivation where a prove query runs
+or a proof is rendered, and quantale for a scenario that declares actions.
 """
 
 from __future__ import annotations
@@ -15,46 +18,55 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import AdjointKitError, InternalError, ParseError, ResolutionError
-from . import derivation, quantale as quantale_mod
 from .epistemic import check_coclosure_consequences
-from .derivation import NotProved, ProofNode, render_proof
 from .scenario import Instantiated, ScenarioDoc, instantiate, parse_scenario
 from .semantics import entails, eval_term
 from .terms import Sequent, render_term
 
+if TYPE_CHECKING:
+    from .derivation import ProofNode
+
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class Verdict:
-    id: str
-    kind: str
-    ok: bool
-    detail: str
-    semantic: bool | None = None
-    proof: ProofNode | None = None      # rendered by as_dict, or as text by prove
-    element: str | None = None
+    __slots__ = ("id", "kind", "ok", "detail", "semantic", "proof", "element")
+
+    def __init__(self, id: str, kind: str, ok: bool, detail: str,
+                 semantic: bool | None = None, proof: ProofNode | None = None,
+                 element: str | None = None):
+        self.id = id
+        self.kind = kind
+        self.ok = ok
+        self.detail = detail
+        self.semantic = semantic
+        self.proof = proof          # rendered by as_dict, or as text by prove
+        self.element = element
 
     def as_dict(self):
         out = {"id": self.id, "kind": self.kind, "ok": self.ok, "detail": self.detail}
         if self.semantic is not None:
             out["semantic"] = self.semantic
         if self.proof is not None:
+            from .derivation import render_proof
+
             out["proof"] = render_proof(self.proof, "structured")
         if self.element is not None:
             out["element"] = self.element
         return out
 
 
-@dataclass
 class AxiomCheck:
-    name: str
-    ok: bool | None            # None: informational hypothesis report
-    detail: str = ""
-    mandatory: bool = True
+    __slots__ = ("name", "ok", "detail", "mandatory")
+
+    def __init__(self, name: str, ok: bool | None, detail: str = "", mandatory: bool = True):
+        self.name = name
+        self.ok = ok                # None: informational hypothesis report
+        self.detail = detail
+        self.mandatory = mandatory
 
     def as_dict(self):
         return {
@@ -65,14 +77,17 @@ class AxiomCheck:
         }
 
 
-@dataclass
 class RunReport:
-    scenario: str
-    verdicts: list[Verdict] = field(default_factory=list)
-    axioms: list[AxiomCheck] = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
-    internal_breach: bool = False
-    build_error: str | None = None
+    __slots__ = ("scenario", "verdicts", "axioms", "timings", "internal_breach", "build_error")
+
+    def __init__(self, scenario: str, timings: dict | None = None,
+                 build_error: str | None = None):
+        self.scenario = scenario
+        self.verdicts: list[Verdict] = []
+        self.axioms: list[AxiomCheck] = []
+        self.timings = {} if timings is None else timings
+        self.internal_breach = False
+        self.build_error = build_error
 
     @property
     def exit_code(self) -> int:
@@ -137,6 +152,8 @@ def _axiom_checks(inst: Instantiated, flags) -> list[AxiomCheck]:
                if act in alg.declared_kernels]
 
     if alg.actions:
+        from . import quantale as quantale_mod
+
         q = quantale_mod.ActionQuantale(alg.actions, flags.word_bound)
         # lax lifted no-miracle is the no-miracle inequality the build
         # raised on, over the same domain, so only its equality form is left
@@ -198,6 +215,8 @@ def _run_query(inst: Instantiated, q, flags, axioms=None) -> Verdict:
         return Verdict(q.id, q.kind, ok, detail)
 
     if q.kind == "prove":
+        from . import derivation
+
         depth = flags.depth if flags.depth is not None else q.depth
         if depth is None:
             depth = derivation.DEFAULT_MAX_DEPTH
@@ -205,7 +224,7 @@ def _run_query(inst: Instantiated, q, flags, axioms=None) -> Verdict:
         outcome = derivation.prove(
             seq, inst.assumptions, depth, no_kernel_shortcut=flags.no_kernel_shortcut
         )
-        if isinstance(outcome, NotProved):
+        if isinstance(outcome, derivation.NotProved):
             frontier = "; ".join(s.render() for s in outcome.frontier[:4])
             return Verdict(q.id, q.kind, False, f"not proved ({outcome.reason}): {frontier}")
         if outcome.sequent != seq:
@@ -424,6 +443,8 @@ def main(argv=None) -> int:
         if args.command == "prove" and not args.json:
             for v in report.verdicts:
                 if v.proof is not None:
+                    from .derivation import render_proof
+
                     print(render_proof(v.proof, "text"))
         sys.stdout.flush()
     except BrokenPipeError:

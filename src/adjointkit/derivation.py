@@ -45,8 +45,6 @@ are emptied when the call returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalError
 from . import terms as T
 from .terms import (
@@ -108,12 +106,24 @@ RULE_ORDER_NO_KERNEL_SHORTCUT = tuple(
 ) + (KERNEL_DISCHARGE,)
 
 
-@dataclass(frozen=True)
 class ProofNode:
-    sequent: Sequent
-    rule: str
-    note: str
-    children: tuple["ProofNode", ...]
+    """One rule application of a proof tree; two trees are equal when their
+    sequents, rules, notes and children are."""
+
+    __slots__ = ("sequent", "rule", "note", "children")
+
+    def __init__(self, sequent: Sequent, rule: str, note: str,
+                 children: tuple[ProofNode, ...]):
+        self.sequent = sequent
+        self.rule = rule
+        self.note = note
+        self.children = children
+
+    def __eq__(self, other):
+        if other.__class__ is not ProofNode:
+            return NotImplemented
+        return (self.sequent, self.rule, self.note, self.children) == (
+            other.sequent, other.rule, other.note, other.children)
 
     def rules_used(self) -> tuple[str, ...]:
         out = [self.rule]
@@ -128,17 +138,28 @@ class ProofNode:
         return tuple(out)
 
 
-@dataclass(frozen=True)
 class NotProved:
-    reason: str                      # "depth_exhausted" | "no_applicable_rule"
-    frontier: tuple[Sequent, ...]    # open subgoals from the failed search
+    """A search verdict, equal to another with the same reason and frontier."""
+
+    __slots__ = ("reason", "frontier")
+
+    def __init__(self, reason: str, frontier: tuple[Sequent, ...]):
+        self.reason = reason        # "depth_exhausted" | "no_applicable_rule"
+        self.frontier = frontier    # open subgoals from the failed search
+
+    def __eq__(self, other):
+        if other.__class__ is not NotProved:
+            return NotImplemented
+        return (self.reason, self.frontier) == (other.reason, other.frontier)
 
 
-@dataclass(frozen=True)
 class BadNode:
-    path: tuple[int, ...]            # child indices from the root
-    sequent: Sequent
-    reason: str
+    __slots__ = ("path", "sequent", "reason")
+
+    def __init__(self, path: tuple[int, ...], sequent: Sequent, reason: str):
+        self.path = path            # child indices from the root
+        self.sequent = sequent
+        self.reason = reason
 
 
 # -- term rewriting -------------------------------------------------------------

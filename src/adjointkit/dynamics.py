@@ -15,8 +15,6 @@ audits, and an equality mode finds where the two sides differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     EmptyActionSet,
     FactStabilityViolation,
@@ -30,20 +28,30 @@ from . import maps
 from .maps import AdjointPair, LatticeMap
 
 
-@dataclass(frozen=True)
 class ActionLabel:
-    name: str
-    is_communication: bool = False
+    __slots__ = ("name", "is_communication")
+
+    def __init__(self, name: str, is_communication: bool = False):
+        self.name = name
+        self.is_communication = is_communication
 
 
-@dataclass(frozen=True)
 class KernelReport:
     """Computed kernel of an action, compared against a declared one."""
 
-    action: str
-    computed: tuple[Element, ...]
-    declared: tuple[Element, ...] | None
-    undeclared_misses: tuple[Element, ...]   # declared but not in the kernel
+    __slots__ = ("action", "computed", "declared", "undeclared_misses")
+
+    def __init__(
+        self,
+        action: str,
+        computed: tuple[Element, ...],
+        declared: tuple[Element, ...] | None,
+        undeclared_misses: tuple[Element, ...],   # declared but not in the kernel
+    ):
+        self.action = action
+        self.computed = computed
+        self.declared = declared
+        self.undeclared_misses = undeclared_misses
 
     @property
     def matches(self) -> bool:

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -94,17 +93,32 @@ def max_elements() -> int:
     return value
 
 
-@dataclass(frozen=True)
 class Element:
     """A lattice element: a dense index plus a display name.
 
     Elements are only meaningful relative to the lattice that created them;
-    the lattice uid makes cross-lattice mixups detectable.
+    the lattice uid makes cross-lattice mixups detectable. Two elements are
+    equal, and hash alike, when index, name and lattice uid agree.
     """
 
-    index: int
-    name: str
-    lattice_uid: int
+    __slots__ = ("index", "name", "lattice_uid")
+
+    def __init__(self, index: int, name: str, lattice_uid: int):
+        self.index = index
+        self.name = name
+        self.lattice_uid = lattice_uid
+
+    def __eq__(self, other):
+        if other.__class__ is not Element:
+            return NotImplemented
+        return self is other or (
+            self.index == other.index
+            and self.lattice_uid == other.lattice_uid
+            and self.name == other.name
+        )
+
+    def __hash__(self):
+        return hash((self.index, self.name, self.lattice_uid))
 
     def __repr__(self):
         return f"<{self.name}>"

@@ -27,7 +27,6 @@ identity_map, constant_map); every other table is derived from such maps.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -44,7 +43,6 @@ MEET_PRESERVING = "meet-preserving"
 UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True)
 class PreservationViolation:
     """Witness that a map fails its claimed preservation law.
 
@@ -52,9 +50,12 @@ class PreservationViolation:
     (f(bottom) != bottom, respectively g(top) != top).
     """
 
-    pair: tuple[Element, Element] | None
-    lhs: Element
-    rhs: Element
+    __slots__ = ("pair", "lhs", "rhs")
+
+    def __init__(self, pair: tuple[Element, Element] | None, lhs: Element, rhs: Element):
+        self.pair = pair
+        self.lhs = lhs
+        self.rhs = rhs
 
     def describe(self) -> str:
         if self.pair is None:
@@ -105,12 +106,14 @@ class LatticeMap:
         return np.array(self.table, dtype=np.intp)
 
 
-@dataclass(frozen=True)
 class AdjointPair:
     """left -| right: left(b) <= b' iff b <= right(b'), all b, b'."""
 
-    left: LatticeMap
-    right: LatticeMap
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: LatticeMap, right: LatticeMap):
+        self.left = left
+        self.right = right
 
 
 def identity_map(lattice: FiniteLattice, kind: str = JOIN_PRESERVING) -> LatticeMap:

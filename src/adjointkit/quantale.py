@@ -36,7 +36,6 @@ judges the lift laws of arbitrary (paranoid) QuantaleLifts.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import GeneratorMismatch, NotJoinPreserving, UnknownAction, WordLengthExceeded
@@ -130,7 +129,6 @@ class ActionQuantale:
         return p <= q
 
 
-@dataclass(frozen=True)
 class QuantaleLift:
     """An agent's appearance on the quantale, given by word images.
 
@@ -139,8 +137,11 @@ class QuantaleLift:
     which is how non-letterwise lifts (paranoid variants) are expressed.
     """
 
-    quantale: ActionQuantale
-    word_images: dict  # Word -> QElement
+    __slots__ = ("quantale", "word_images")
+
+    def __init__(self, quantale: ActionQuantale, word_images: dict):
+        self.quantale = quantale
+        self.word_images = word_images  # Word -> QElement
 
     def apply(self, q: QElement) -> QElement:
         return frozenset().union(*(self.word_images[w] for w in q))
@@ -159,19 +160,38 @@ def lift_action_appearance(alg: DynamicAlgebra, q: ActionQuantale) -> dict[str, 
     return lifts
 
 
-@dataclass(frozen=True)
 class LawCheck:
-    name: str
-    ok: bool
-    witness: str | None = None
+    """One law's verdict and, when it fails, its witness; equal when name,
+    verdict and witness agree."""
+
+    __slots__ = ("name", "ok", "witness")
+
+    def __init__(self, name: str, ok: bool, witness: str | None = None):
+        self.name = name
+        self.ok = ok
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not LawCheck:
+            return NotImplemented
+        return (self.name, self.ok, self.witness) == (other.name, other.ok, other.witness)
 
 
-@dataclass(frozen=True)
 class QuantaleReport:
-    checks: tuple[LawCheck, ...]
-    # lax reports also carry the same laws judged as non-paranoid
-    # equalities, from the same pass
-    equalities: QuantaleReport | None = None
+    """Law verdicts in order; equal when the checks and equalities agree."""
+
+    __slots__ = ("checks", "equalities")
+
+    def __init__(self, checks: tuple[LawCheck, ...], equalities: QuantaleReport | None = None):
+        self.checks = checks
+        # lax reports also carry the same laws judged as non-paranoid
+        # equalities, from the same pass
+        self.equalities = equalities
+
+    def __eq__(self, other):
+        if other.__class__ is not QuantaleReport:
+            return NotImplemented
+        return (self.checks, self.equalities) == (other.checks, other.equalities)
 
     @property
     def ok(self) -> bool:

@@ -42,8 +42,6 @@ is structurally equal to doc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     KernelMismatch,
     MissingGenerator,
@@ -59,46 +57,94 @@ MODES = ("semantic", "symbolic", "both")
 QUERY_KINDS = ("check", "prove", "evaluate", "validate-axioms")
 
 
-@dataclass(frozen=True)
+def _same_key(self, other):
+    """== for the declaration classes: the same class and equal _key()."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self._key() == other._key()
+
+
 class AgentDecl:
-    name: str
-    sees: tuple = ()        # ((generator label, ground term), ...)
-    defs: tuple = ()        # ((atom, term), ...)
+    __slots__ = ("name", "sees", "defs")
+
+    def __init__(self, name: str, sees: tuple = (), defs: tuple = ()):
+        self.name = name
+        self.sees = sees        # ((generator label, ground term), ...)
+        self.defs = defs        # ((atom, term), ...)
+
+    def _key(self):
+        return self.name, self.sees, self.defs
+
+    __eq__ = _same_key
 
 
-@dataclass(frozen=True)
 class ActionDecl:
-    name: str
-    communication: bool = False
-    updates: tuple = ()     # ((generator label, ground term), ...)
-    appears: tuple = ()     # ((agent, action), ...)
-    kernel: tuple = ()      # (atom, ...)
+    __slots__ = ("name", "communication", "updates", "appears", "kernel")
+
+    def __init__(self, name: str, communication: bool = False, updates: tuple = (),
+                 appears: tuple = (), kernel: tuple = ()):
+        self.name = name
+        self.communication = communication
+        self.updates = updates  # ((generator label, ground term), ...)
+        self.appears = appears  # ((agent, action), ...)
+        self.kernel = kernel    # (atom, ...)
+
+    def _key(self):
+        return self.name, self.communication, self.updates, self.appears, self.kernel
+
+    __eq__ = _same_key
 
 
-@dataclass(frozen=True)
 class Query:
-    id: str
-    kind: str
-    lhs: Term | None = None
-    rhs: Term | None = None
-    expect: str = "holds"   # check queries only
-    depth: int | None = None  # prove queries only
+    __slots__ = ("id", "kind", "lhs", "rhs", "expect", "depth")
+
+    def __init__(self, id: str, kind: str, lhs: Term | None = None, rhs: Term | None = None,
+                 expect: str = "holds", depth: int | None = None):
+        self.id = id
+        self.kind = kind
+        self.lhs = lhs
+        self.rhs = rhs
+        self.expect = expect    # check queries only
+        self.depth = depth      # prove queries only
+
+    def _key(self):
+        return self.id, self.kind, self.lhs, self.rhs, self.expect, self.depth
+
+    __eq__ = _same_key
 
 
-@dataclass(frozen=True)
 class ScenarioDoc:
-    name: str
-    mode: str
-    version: int = 1
-    description: str | None = None
-    worlds: tuple = ()
-    poset_elements: tuple = ()
-    poset_edges: tuple = ()
-    props: tuple = ()       # ((name, ground term), ...)
-    agents: tuple = ()
-    actions: tuple = ()
-    facts: tuple = ()
-    queries: tuple = ()
+    """A parsed scenario; parse_scenario(serialize(doc)) == doc."""
+
+    __slots__ = (
+        "name", "mode", "version", "description", "worlds", "poset_elements",
+        "poset_edges", "props", "agents", "actions", "facts", "queries",
+    )
+
+    def __init__(self, name: str, mode: str, version: int = 1,
+                 description: str | None = None, worlds: tuple = (),
+                 poset_elements: tuple = (), poset_edges: tuple = (), props: tuple = (),
+                 agents: tuple = (), actions: tuple = (), facts: tuple = (),
+                 queries: tuple = ()):
+        self.name = name
+        self.mode = mode
+        self.version = version
+        self.description = description
+        self.worlds = worlds
+        self.poset_elements = poset_elements
+        self.poset_edges = poset_edges
+        self.props = props      # ((name, ground term), ...)
+        self.agents = agents
+        self.actions = actions
+        self.facts = facts
+        self.queries = queries
+
+    def _key(self):
+        return (self.name, self.mode, self.version, self.description, self.worlds,
+                self.poset_elements, self.poset_edges, self.props, self.agents,
+                self.actions, self.facts, self.queries)
+
+    __eq__ = _same_key
 
     @property
     def has_poset(self) -> bool:
@@ -542,12 +588,15 @@ def serialize(doc: ScenarioDoc) -> str:
 # -- instantiation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Instantiated:
-    doc: ScenarioDoc
-    model: SemanticModel | None
-    assumptions: Assumptions | None
-    realization_warnings: tuple[str, ...] = ()
+    __slots__ = ("doc", "model", "assumptions", "realization_warnings")
+
+    def __init__(self, doc: ScenarioDoc, model: SemanticModel | None,
+                 assumptions: Assumptions | None, realization_warnings: tuple[str, ...] = ()):
+        self.doc = doc
+        self.model = model
+        self.assumptions = assumptions
+        self.realization_warnings = realization_warnings
 
     @property
     def queries(self):

@@ -9,20 +9,20 @@ with it too, before there is an algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dynamics import DynamicAlgebra
 from .errors import ResolutionError
 from .lattice import Element
 from . import terms as T
 
 
-@dataclass(frozen=True)
 class SemanticModel:
     """A validated dynamic algebra plus atom bindings for the term language."""
 
-    algebra: DynamicAlgebra
-    atoms: dict[str, Element]
+    __slots__ = ("algebra", "atoms")
+
+    def __init__(self, algebra: DynamicAlgebra, atoms: dict[str, Element]):
+        self.algebra = algebra
+        self.atoms = atoms
 
     @property
     def lattice(self):
@@ -71,14 +71,15 @@ def evaluate(lat, atoms: dict[str, Element], alg: DynamicAlgebra | None, term: T
         if isinstance(t, T.Believe):
             return mama.belief(t.agent, rec(t.arg))
         if isinstance(t, T.CK):
-            if t.depth is None:
-                return mama.common_knowledge(t.agents)(rec(t.arg))
-            # bounded variant: meet of the first depth+1 iterates (i from 0);
-            # once an iterate repeats, the rest cycle and add nothing
+            # the meet of the iterates g^i(l) of the group information map,
+            # i from 0, up to the depth bound if there is one; once an
+            # iterate repeats, the rest cycle and add nothing, so n steps
+            # reach them all. Unbounded, this is common knowledge: g
+            # preserves meets, so MAMA.common_knowledge is this meet too.
             g = mama.group_information(t.agents)
             acc = cur = rec(t.arg)
             seen = {cur}
-            for _ in range(t.depth):
+            for _ in range(lat.n if t.depth is None else t.depth):
                 cur = g(cur)
                 if cur in seen:
                     break

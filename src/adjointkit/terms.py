@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, field
 
 from .errors import ParseError
 
@@ -319,24 +318,40 @@ def render_term(t: Term) -> str:
 
 # -- assumptions --------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Assumptions:
     """Symbolic hypotheses the derivation engine may cite.
 
     appearance_defs maps (agent, atom) to the defining term of f_A(atom);
     action_appearance maps (agent, action) to the appeared action name;
     kernels maps an action to the atoms it annihilates; facts and
-    communication list fact atoms and communication actions.
+    communication list fact atoms and communication actions. A table not
+    given is a new empty dict.
     """
 
-    appearance_defs: dict = field(default_factory=dict)
-    action_appearance: dict = field(default_factory=dict)
-    kernels: dict = field(default_factory=dict)
-    facts: frozenset = frozenset()
-    communication: frozenset = frozenset()
-    agents: frozenset = frozenset()
-    actions: frozenset = frozenset()
-    atoms: frozenset = frozenset()
+    __slots__ = (
+        "appearance_defs", "action_appearance", "kernels", "facts", "communication",
+        "agents", "actions", "atoms",
+    )
+
+    def __init__(
+        self,
+        appearance_defs: dict | None = None,
+        action_appearance: dict | None = None,
+        kernels: dict | None = None,
+        facts: frozenset = frozenset(),
+        communication: frozenset = frozenset(),
+        agents: frozenset = frozenset(),
+        actions: frozenset = frozenset(),
+        atoms: frozenset = frozenset(),
+    ):
+        self.appearance_defs = {} if appearance_defs is None else appearance_defs
+        self.action_appearance = {} if action_appearance is None else action_appearance
+        self.kernels = {} if kernels is None else kernels
+        self.facts = facts
+        self.communication = communication
+        self.agents = agents
+        self.actions = actions
+        self.atoms = atoms
 
     def kernel_atoms(self, action: str) -> frozenset:
         return self.kernels.get(action, frozenset())
@@ -363,19 +378,26 @@ def _tokenize(text: str, line: int, offset: int) -> list[tuple[str, str, int]]:
     return out
 
 
-# How deep a term may nest: each parenthesis, operator argument and
-# f'[A](...) in an action position counts one level, and so does each ~ not
-# followed by a parenthesis, so that render_term's ~(~t) re-parses. It keeps
-# the recursive parser, evaluator, renderer and prover inside Python's stack.
-MAX_TERM_NESTING = 100
+# How deep a term may be. A term's depth is the number of operators on its
+# longest path from the root, and chains count like nesting: a \/ b \/ c and
+# ~~c are two levels deep. On the way down, the parser also counts each
+# parenthesis, operator argument and f'[A](...) in an action position it is
+# inside, and each ~ not followed by a parenthesis, against the same limit;
+# that count exceeds the depth only where parentheses group nothing new, as
+# in ((c)), which render_term never writes, so every term within the limit
+# renders to text that re-parses. The limit keeps the recursive parser,
+# evaluator, renderer, scenario resolver and prover inside Python's stack.
+MAX_TERM_DEPTH = 100
 
 
 class _TermParser:
+    """Recursive descent; each parse_* method returns (term, depth)."""
+
     def __init__(self, text: str, line: int = 1, column_offset: int = 0):
         self.line = line
         self.tokens = _tokenize(text, line, column_offset)
         self.pos = 0
-        self.depth = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -392,61 +414,74 @@ class _TermParser:
             found = repr(got) if kind != "end" else "end of input"
             raise ParseError(self.line, column, f"found {found}", expected=repr(text))
 
-    def fail(self, message: str, expected=None):
-        raise ParseError(self.line, self.peek()[2], message, expected=expected)
+    def fail(self, message: str, expected=None, column=None):
+        column = self.peek()[2] if column is None else column
+        raise ParseError(self.line, column, message, expected=expected)
 
     def nested(self, parse):
-        """parse() one nesting level deeper, failing past MAX_TERM_NESTING."""
-        if self.depth == MAX_TERM_NESTING:
-            self.fail(f"term nested more than {MAX_TERM_NESTING} levels deep")
-        self.depth += 1
-        t = parse()
-        self.depth -= 1
-        return t
+        """parse() one nesting level deeper, failing past MAX_TERM_DEPTH."""
+        if self.nesting == MAX_TERM_DEPTH:
+            self.fail(f"term nested more than {MAX_TERM_DEPTH} levels deep")
+        self.nesting += 1
+        out = parse()
+        self.nesting -= 1
+        return out
+
+    def above(self, depth: int, column: int) -> int:
+        """The depth of an operator over operands at most depth deep,
+        failing at its column past MAX_TERM_DEPTH."""
+        if depth == MAX_TERM_DEPTH:
+            self.fail(f"term nested more than {MAX_TERM_DEPTH} levels deep", column=column)
+        return depth + 1
 
     # grammar
 
-    def parse_term(self) -> Term:
-        t = self.parse_and()
+    def parse_term(self) -> tuple[Term, int]:
+        t, depth = self.parse_and()
         while self.peek()[1] == "\\/":
-            self.next()
-            t = Or(t, self.parse_and())
-        return t
+            column = self.next()[2]
+            right, right_depth = self.parse_and()
+            t, depth = Or(t, right), self.above(max(depth, right_depth), column)
+        return t, depth
 
-    def parse_and(self) -> Term:
-        t = self.parse_unary()
+    def parse_and(self) -> tuple[Term, int]:
+        t, depth = self.parse_unary()
         while self.peek()[1] == "/\\":
-            self.next()
-            t = And(t, self.parse_unary())
-        return t
+            column = self.next()[2]
+            right, right_depth = self.parse_unary()
+            t, depth = And(t, right), self.above(max(depth, right_depth), column)
+        return t, depth
 
-    def parse_unary(self) -> Term:
+    def parse_unary(self) -> tuple[Term, int]:
         if self.peek()[1] == "~":
-            self.next()
+            column = self.next()[2]
             if self.peek()[1] == "(":
-                return Not(self.parse_unary())
-            return Not(self.nested(self.parse_unary))
+                arg, depth = self.parse_unary()
+            else:
+                arg, depth = self.nested(self.parse_unary)
+            return Not(arg), self.above(depth, column)
         return self.parse_primary()
 
-    def parse_primary(self) -> Term:
+    def parse_primary(self) -> tuple[Term, int]:
         kind, head, column = self.peek()
         if head == "(":
             self.next()
-            t = self.nested(self.parse_term)
+            out = self.nested(self.parse_term)
             self.expect(")")
-            return t
+            return out
         if kind != "name":
             self.fail("expected a term", expected="name, '~' or '('")
         self.next()
         if head == "bot":
-            return Bot()
+            return Bot(), 0
         if head == "top":
-            return Top()
+            return Top(), 0
         if self.peek()[1] == "[":
             if head in _HEADS:
-                return self._parse_modal(_HEADS[head])
+                t, depth = self._parse_modal(_HEADS[head])
+                return t, self.above(depth, column)
             raise ParseError(self.line, column, f"unknown operator {head!r}")
-        return Atom(head)
+        return Atom(head), 0
 
     def _parse_name(self, what: str = "a name") -> str:
         kind, text, column = self.next()
@@ -466,7 +501,9 @@ class _TermParser:
             return ActApp(agent, inner)
         return ActName(name)
 
-    def _parse_modal(self, cls) -> Term:
+    def _parse_modal(self, cls) -> tuple[Term, int]:
+        """The bracketed operator cls after its keyword, and the depth of
+        its argument."""
         self.expect("[")
         if cls is CK:
             agents = [self._parse_name()]
@@ -487,14 +524,14 @@ class _TermParser:
             label = self._parse_name()
         self.expect("]")
         self.expect("(")
-        arg = self.nested(self.parse_term)
+        arg, arg_depth = self.nested(self.parse_term)
         self.expect(")")
-        return CK(label, arg, depth) if cls is CK else cls(label, arg)
+        return (CK(label, arg, depth) if cls is CK else cls(label, arg)), arg_depth
 
     def parse_entailment(self) -> Sequent:
-        lhs = self.parse_term()
+        lhs, _ = self.parse_term()
         self.expect("|=")
-        rhs = self.parse_term()
+        rhs, _ = self.parse_term()
         return Sequent(lhs, rhs)
 
     def finish(self):
@@ -505,7 +542,7 @@ class _TermParser:
 
 def parse_term(text: str, line: int = 1, column_offset: int = 0) -> Term:
     p = _TermParser(text, line, column_offset)
-    t = p.parse_term()
+    t, _ = p.parse_term()
     p.finish()
     return t
 

@@ -287,14 +287,15 @@ def test_criterion_9_soundness_cross_check():
             proved.append((tree, lying.assumptions))
 
     # mutation tests: corrupting any single rule application is caught
-    import dataclasses
-
     mutants = 0
     for tree, assumptions in proved[:6]:
         nodes = _all_nodes(tree)
         victim = nodes[len(nodes) // 2]
-        forged = dataclasses.replace(
-            victim, rule=KERNEL_DISCHARGE if victim.rule != KERNEL_DISCHARGE else ORDER_AXIOM
+        forged = ProofNode(
+            victim.sequent,
+            KERNEL_DISCHARGE if victim.rule != KERNEL_DISCHARGE else ORDER_AXIOM,
+            victim.note,
+            victim.children,
         )
         mutant = _swap(tree, victim, forged)
         assert verify_tree(mutant, assumptions) is not None
@@ -310,13 +311,10 @@ def _all_nodes(tree):
 
 
 def _swap(tree, target, new):
-    import dataclasses
-
     if tree is target:
         return new
-    return dataclasses.replace(
-        tree, children=tuple(_swap(c, target, new) for c in tree.children)
-    )
+    kids = tuple(_swap(c, target, new) for c in tree.children)
+    return ProofNode(tree.sequent, tree.rule, tree.note, kids)
 
 
 # -- criterion 10: muddy children with a relational oracle ------------------------

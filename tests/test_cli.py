@@ -16,7 +16,7 @@ from adjointkit import cli, derivation, dynamics, maps, quantale
 from adjointkit.cli import main
 from adjointkit.derivation import KERNEL_DISCHARGE, ORDER_AXIOM, ProofNode
 from adjointkit.terms import parse_entailment
-from conftest import built_models, scenario_texts
+from conftest import built_models, perfbench_module, scenario_texts
 
 
 def fixture_path(name: str) -> str:
@@ -340,19 +340,60 @@ print(json.dumps(seen))
 """
 
 
-def test_powerset_commands_never_import_numpy():
-    # a fresh interpreter, because this test process imports numpy itself
+def _run_fresh(script, *args):
+    """The JSON that script prints, run in a fresh interpreter from the
+    scenario directory, compiling adjointkit from source."""
     src = Path(adjointkit.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(POWERSET_COMMANDS)],
+        [sys.executable, "-c", script, *args],
         cwd=Path(fixture_path("coin-honest.scn")).parent,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True, timeout=120, check=True,
     )
-    seen = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_powerset_commands_never_import_numpy():
+    # a fresh interpreter, because this test process imports numpy itself
+    seen = _run_fresh(NUMPY_PROBE, json.dumps(POWERSET_COMMANDS))
     assert [argv for argv, _, _ in seen] == POWERSET_COMMANDS
     assert [code for _, code, _ in seen] == [2, 0, 0, 0, 0, 0, 0, 0, 0]
     assert [argv for argv, _, numpy in seen if numpy] == []
+
+
+# One command, as on a first run: its exit code and every module it left
+# imported.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from adjointkit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+# What a command must not import beyond dataclasses, which none imports:
+# derivation only runs for a prove query, quantale only for declared actions.
+NOT_IMPORTED = {
+    "muddy-3.scn": {"adjointkit.derivation", "adjointkit.quantale"},
+    "coin-lying-model.scn": {"adjointkit.derivation"},
+}
+
+
+@pytest.mark.parametrize("argv", POWERSET_COMMANDS[:-1], ids=" ".join)
+def test_shipped_commands_import_only_what_they_run(argv):
+    code, modules = _run_fresh(IMPORT_PROBE, json.dumps(argv))
+    assert code == (2 if "broken-miracle.scn" in argv else 0)
+    scenario = next(a for a in argv if a.endswith(".scn"))
+    assert {"dataclasses", *NOT_IMPORTED.get(scenario, ())}.isdisjoint(modules)
+
+
+def test_the_package_resolves_every_traced_module_on_first_access():
+    spans = perfbench_module("spans")
+    names = sorted({m for m, *_ in spans.SPANS} | {m for m, *_ in spans.COUNTED})
+    probe = ("import json, sys, adjointkit\n"
+             "print(json.dumps([getattr(adjointkit, m) is sys.modules['adjointkit.' + m]"
+             " for m in sys.argv[1:]]))")
+    assert _run_fresh(probe, *names) == [True] * len(names)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -438,6 +479,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("version 1\nscenario x\nmode semantic\nworlds w\nagnt A\n")
     assert main(["run", str(bad)]) == 3
+
+
+def test_a_chain_past_the_term_depth_limit_exits_three(tmp_path, capsys):
+    # a flat chain is parsed by a loop, so only the depth limit keeps it out
+    # of the recursive resolver and evaluator
+    chain = " \\/ ".join(["H"] * 1500)
+    scn = tmp_path / "chain.scn"
+    scn.write_text(Path(fixture_path("coin-lying-model.scn")).read_text()
+                   + f"query zz check {chain} |= H\n")
+    assert main(["run", str(scn)]) == 3
+    assert "nested more than 100 levels deep" in capsys.readouterr().err
 
 
 def test_evaluate_in_a_symbolic_scenario_exits_three(tmp_path, capsys):

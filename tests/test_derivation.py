@@ -1,6 +1,5 @@
 """Proof search, tree verification, rendering, and the golden derivations."""
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -260,7 +259,7 @@ def _replace_node(tree, target, new):
     if tree is target:
         return new
     kids = tuple(_replace_node(c, target, new) for c in tree.children)
-    return dataclasses.replace(tree, children=kids)
+    return ProofNode(tree.sequent, tree.rule, tree.note, kids)
 
 
 def test_kernel_discharge_on_non_kernel_atom_is_caught():
@@ -278,8 +277,8 @@ def test_mutated_sequent_inside_a_tree_is_caught():
     assumptions = honest_assumptions()
     tree = prove(parse_entailment("H |= after[a](fi[A](H))"), assumptions, 16)
     node = _find_node(tree, KERNEL_DISCHARGE)
-    forged = dataclasses.replace(
-        node, sequent=Sequent(parse_term("upd[a](H)"), Atom("H"))
+    forged = ProofNode(
+        Sequent(parse_term("upd[a](H)"), Atom("H")), node.rule, node.note, node.children
     )
     mutant = _replace_node(tree, node, forged)
     # the corruption surfaces at the parent: its rule yields other subgoals
@@ -310,7 +309,8 @@ def test_tampered_subgoal_is_caught():
     tree = prove(parse_entailment("H |= after[a](fi[A](H))"), assumptions, 16)
     node = _find_node(tree, CASE_SPLIT)
     forged_children = (node.children[0], node.children[0])
-    mutant = _replace_node(tree, node, dataclasses.replace(node, children=forged_children))
+    forged = ProofNode(node.sequent, node.rule, node.note, forged_children)
+    mutant = _replace_node(tree, node, forged)
     bad = verify_tree(mutant, assumptions)
     assert bad is not None and "different subgoals" in bad.reason
 

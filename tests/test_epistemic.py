@@ -14,7 +14,12 @@ from adjointkit import (
     verify_adjunction,
     power,
 )
-from conftest import random_lattice, random_mama
+from adjointkit.dynamics import DynamicAlgebra
+from adjointkit.epistemic import MAMA, CoclosureReport
+from adjointkit.maps import compose, right_adjoint
+from adjointkit.semantics import evaluate
+from adjointkit.terms import CK, Atom
+from conftest import random_decreasing_map, random_join_map, random_lattice, random_mama
 
 
 @pytest.fixture
@@ -182,7 +187,63 @@ def test_common_knowledge_below_information(seed):
             assert lat.leq_(gi(e), fi(e))
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_unbounded_ck_evaluates_to_common_knowledge(seed):
+    """The evaluator meets the iterates of the group information map at the
+    point; MAMA.common_knowledge iterates whole maps to their fixpoint."""
+    rng = random.Random(900 + seed)
+    lat = random_lattice(rng)
+    m = random_mama(rng, lat, rng.randint(1, 3))
+    alg = DynamicAlgebra(m, {}, {}, {}, ())
+    for size in range(1, len(m.agents) + 1):
+        group = tuple(rng.sample(m.agents, size))
+        ck = m.common_knowledge(group)
+        for e in lat.elements:
+            assert evaluate(lat, {"x": e}, alg, CK(group, Atom("x"))) == ck(e)
+
+
 # -- co-closure consequences -----------------------------------------------------------
+
+
+def reference_coclosure(m, agent) -> CoclosureReport:
+    """The element-wise check: every hypothesis and consequence by a scan
+    of all elements."""
+    lat = m.lattice
+    f = m.appearance_map(agent)
+    dec_wit = next((e for e in lat.elements if not lat.leq_(f(e), e)), None)
+    ff = compose(f, f)
+    idem_wit = next((e for e in lat.elements if not lat.leq_(ff(e), f(e))), None)
+    if dec_wit is not None or idem_wit is not None:
+        return CoclosureReport(agent, dec_wit is None, dec_wit, idem_wit is None, idem_wit,
+                               None, None, None, None)
+    fstar = m.information_map(agent)
+    fsfs = compose(fstar, fstar)
+
+    def know(e):
+        return m.knowledge(agent, e)
+
+    neg_intro = None
+    if lat.is_boolean:
+        neg = lat.complement
+        neg_intro = all(lat.leq_(neg(know(e)), know(neg(know(e)))) for e in lat.elements)
+    return CoclosureReport(
+        agent, True, None, True, None,
+        all(lat.leq_(fstar(e), fsfs(e)) for e in lat.elements),
+        all(lat.leq_(know(e), know(know(e))) for e in lat.elements),
+        all(know(e) == e for e in lat.elements),
+        neg_intro,
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coclosure_matches_the_element_wise_check(seed):
+    rng = random.Random(1000 + seed)
+    lat = random_lattice(rng)
+    make = random_decreasing_map if seed % 2 else random_join_map
+    m = MAMA(lat, {"A": right_adjoint(make(rng, lat))})
+    fields = CoclosureReport.__slots__
+    got, want = check_coclosure_consequences(m, "A"), reference_coclosure(m, "A")
+    assert [getattr(got, k) for k in fields] == [getattr(want, k) for k in fields]
 
 
 def test_coclosure_identity(coin2):

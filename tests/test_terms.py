@@ -116,7 +116,7 @@ def test_term_nesting_limit(head, tail):
     from adjointkit import instantiate, parse_scenario
     from adjointkit.semantics import eval_term
 
-    n = T.MAX_TERM_NESTING
+    n = T.MAX_TERM_DEPTH
     text = (resources.files("adjointkit") / "scenarios" / "coin-honest.scn").read_text()
     inst = instantiate(parse_scenario(text))
     deepest = parse_term(head * n + "H" + tail * n)
@@ -126,6 +126,33 @@ def test_term_nesting_limit(head, tail):
     with pytest.raises(ParseError, match="nested more than") as err:
         parse_term(head * (n + 1) + "H" + tail * (n + 1))
     assert (err.value.line, err.value.column) == (1, len(head) * (n + 1) + 1)
+
+
+@pytest.mark.parametrize("op", ["\\/", "/\\"])
+@pytest.mark.parametrize("nesting", [0, 40])
+def test_term_depth_limit_counts_chains(op, nesting):
+    """A chain of binary operators counts against the same limit as
+    nesting, one level an operator: the deepest chain still evaluates,
+    renders and re-parses, and one operator more is a ParseError at the
+    outermost operator past the limit."""
+    from importlib import resources
+
+    from adjointkit import instantiate, parse_scenario
+    from adjointkit.semantics import eval_term
+
+    def chain(operators):
+        return "f[A](" * nesting + "H" + f" {op} H" * operators + ")" * nesting
+
+    n = T.MAX_TERM_DEPTH - nesting
+    text = (resources.files("adjointkit") / "scenarios" / "coin-honest.scn").read_text()
+    inst = instantiate(parse_scenario(text))
+    deepest = parse_term(chain(n))
+    eval_term(inst.model, deepest)
+    assert parse_term(render_term(deepest)) == deepest
+    too_deep = chain(n + 1)
+    with pytest.raises(ParseError, match="nested more than") as err:
+        parse_term(too_deep)
+    assert err.value.column == (1 if nesting else too_deep.rindex(op) + 1)
 
 
 def test_unknown_bracket_head_rejected():
