@@ -33,7 +33,7 @@ _EXPORTS = {
         "validate_meet_preserving", "verify_adjunction",
     ),
     "epistemic": ("MAMA", "CoclosureReport", "build_mama", "check_coclosure_consequences"),
-    "dynamics": ("ActionLabel", "DynamicAlgebra", "KernelReport", "build_dynamic_algebra"),
+    "dynamics": ("ActionLabel", "DynamicAlgebra", "build_dynamic_algebra"),
     "quantale": (
         "ActionQuantale", "EpistemicSystemView", "QuantaleLift", "binary_to_indexed",
         "check_epistemic_quantale", "check_epistemic_system", "check_quantale_laws",

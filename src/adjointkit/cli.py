@@ -24,7 +24,7 @@ from .errors import AdjointKitError, InternalError, ParseError, ResolutionError
 from .epistemic import check_coclosure_consequences
 from .scenario import Instantiated, ScenarioDoc, instantiate, parse_scenario
 from .semantics import entails, eval_term
-from .terms import Sequent, render_term
+from .terms import MAX_PROOF_DEPTH, Sequent, render_term
 
 if TYPE_CHECKING:
     from .derivation import ProofNode
@@ -168,16 +168,11 @@ def _axiom_checks(inst: Instantiated, flags) -> list[AxiomCheck]:
 
     # optional hypotheses, reported but never mandatory
     for agent in alg.mama.agents:
-        rep = check_coclosure_consequences(alg.mama, agent)
-        if rep.hypotheses_hold:
-            detail = "decreasing and weakly idempotent; consequences " + (
-                "verified" if rep.consequences_hold else "FAILED"
-            )
-            ok = rep.consequences_hold
+        wit = check_coclosure_consequences(alg.mama, agent).decreasing_witness
+        if wit is None:
+            ok, detail = True, "decreasing and weakly idempotent; consequences verified"
         else:
-            wit = rep.decreasing_witness or rep.idempotent_witness
-            detail = f"hypotheses not met, witness {wit.name}"
-            ok = None
+            ok, detail = None, f"hypotheses not met, witness {wit.name}"
         checks.append(AxiomCheck(f"coclosure-hypotheses[{agent}]", ok, detail, mandatory=False))
     checks.append(
         AxiomCheck(
@@ -389,7 +384,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="quantale word-length bound; only checked against the "
                             "1,024-word cap, no law's verdict depends on it")
         p.add_argument("--depth", type=int, default=None,
-                       help="proof search depth override")
+                       help=f"proof search depth override, 1 to {MAX_PROOF_DEPTH}")
 
     for name in ("validate", "run"):
         p = sub.add_parser(name)
@@ -411,6 +406,8 @@ def main(argv=None) -> int:
     try:
         if args.depth is not None and args.depth < 1:
             raise ResolutionError(f"--depth must be at least 1, not {args.depth}")
+        if args.depth is not None and args.depth > MAX_PROOF_DEPTH:
+            raise ResolutionError(f"--depth must be at most {MAX_PROOF_DEPTH}, not {args.depth}")
         if args.word_bound < 1:
             raise ResolutionError(f"--word-bound must be at least 1, not {args.word_bound}")
         if args.command == "tables":

@@ -60,6 +60,7 @@ from .terms import (
     CK,
     Info,
     Know,
+    MAX_TERM_DEPTH,
     Not,
     Or,
     Sequent,
@@ -427,8 +428,8 @@ def prove(
     no_kernel_shortcut: bool = False,
 ):
     """Search for a proof of seq; returns a ProofNode or NotProved."""
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    if not 1 <= max_depth <= T.MAX_PROOF_DEPTH:
+        raise ValueError(f"max_depth must be between 1 and {T.MAX_PROOF_DEPTH}")
     order = RULE_ORDER_NO_KERNEL_SHORTCUT if no_kernel_shortcut else RULE_ORDER
     dead_ends: dict[Sequent, None] = {}  # insertion-ordered set
     table: dict[tuple[Sequent, int], ProofNode | None] = {}
@@ -447,7 +448,12 @@ def prove(
             rule = order[tried]
             tried += 1
             res = apply_rule(rule, goal, assumptions)
-            if res is not None:
+            if res is None:
+                continue
+            for child in res[0]:
+                if child.term_depth > MAX_TERM_DEPTH:
+                    break  # a move past the term depth limit is not taken
+            else:
                 move = (rule, *res)
                 successors[goal] = (*moves, move), tried
                 return move

@@ -36,28 +36,6 @@ class ActionLabel:
         self.is_communication = is_communication
 
 
-class KernelReport:
-    """Computed kernel of an action, compared against a declared one."""
-
-    __slots__ = ("action", "computed", "declared", "undeclared_misses")
-
-    def __init__(
-        self,
-        action: str,
-        computed: tuple[Element, ...],
-        declared: tuple[Element, ...] | None,
-        undeclared_misses: tuple[Element, ...],   # declared but not in the kernel
-    ):
-        self.action = action
-        self.computed = computed
-        self.declared = declared
-        self.undeclared_misses = undeclared_misses
-
-    @property
-    def matches(self) -> bool:
-        return not self.undeclared_misses
-
-
 class DynamicAlgebra:
     """A validated action epistemic algebra; immutable after construction."""
 
@@ -110,17 +88,11 @@ class DynamicAlgebra:
         """h*_a(l): after action a, proposition l holds."""
         return self.after_map(action)(l)
 
-    def kernel(self, action: str) -> KernelReport:
-        """All l with h_a(l) = bottom; down-closed and join-closed."""
-        h = self.update_map(action)
-        bot = self.lattice.bottom
-        computed = tuple(e for e in self.lattice.elements if h(e) == bot)
-        declared = self.declared_kernels.get(action)
-        misses = ()
-        if declared is not None:
-            inside = set(computed)
-            misses = tuple(e for e in declared if e not in inside)
-        return KernelReport(action, computed, declared, misses)
+    def kernel(self, action: str) -> tuple[Element, ...]:
+        """All l with h_a(l) = bottom, in index order: by adjunction, the
+        elements below h*_a(bottom)."""
+        dead = self.after_map(action)(self.lattice.bottom)
+        return tuple(e for e in self.lattice.elements if self.lattice.leq_(e, dead))
 
     def eventually(self, action_names, l: Element) -> Element:
         """Greatest-fixed-point meet of h*_alpha applied to l, where
@@ -143,12 +115,20 @@ class DynamicAlgebra:
         converse scans h_a(l) <= phi implies l <= phi instead. It fails at
         kernel elements in any model where a communication action
         annihilates something, so it is reported, never enforced.
+
+        h_a is monotone, so the forward law holds for (a, phi) iff
+        h_a(phi) <= phi; by adjunction the converse holds iff
+        h*_a(phi) <= phi. Elements are scanned, in index order, only for
+        a pair that fails its inequality.
         """
         lat = self.lattice
         breaches = []
         for name in self.communication_actions:
             h = self.update_map(name)
+            decide = self.after_map(name) if converse else h
             for phi in self.facts:
+                if lat.leq_(decide(phi), phi):
+                    continue
                 for l in lat.elements:
                     premise, conclusion = lat.leq_(l, phi), lat.leq_(h(l), phi)
                     if converse:

@@ -104,81 +104,36 @@ def build_mama(lattice: FiniteLattice, assignments: dict[str, dict]) -> MAMA:
 
 
 class CoclosureReport:
-    """Outcome of checking the weak co-closure hypotheses and, when they
-    hold, the S4/S5-style consequences they imply.
+    """Whether f_A is decreasing, f_A <= id: the weak co-closure hypotheses.
 
-    Witnesses name the first element breaking each hypothesis. Consequence
-    flags are None when the hypotheses fail (nothing was asserted).
+    Decreasing implies weak idempotence, f_A(f_A(l)) <= f_A(l), so it
+    decides both hypotheses. The witness is the first element, in index
+    order, with f_A(l) not below l; None when the hypotheses hold.
     """
 
-    __slots__ = (
-        "agent", "decreasing", "decreasing_witness", "weakly_idempotent",
-        "idempotent_witness", "info_weakly_idempotent", "knowledge_weakly_idempotent",
-        "knowledge_fixpoint", "negative_introspection",
-    )
+    __slots__ = ("agent", "decreasing_witness")
 
-    def __init__(
-        self,
-        agent: str,
-        decreasing: bool,
-        decreasing_witness: Element | None,
-        weakly_idempotent: bool,
-        idempotent_witness: Element | None,
-        info_weakly_idempotent: bool | None,
-        knowledge_weakly_idempotent: bool | None,
-        knowledge_fixpoint: bool | None,
-        negative_introspection: bool | None,   # Boolean carriers only, else None
-    ):
+    def __init__(self, agent: str, decreasing_witness: Element | None):
         self.agent = agent
-        self.decreasing = decreasing
         self.decreasing_witness = decreasing_witness
-        self.weakly_idempotent = weakly_idempotent
-        self.idempotent_witness = idempotent_witness
-        self.info_weakly_idempotent = info_weakly_idempotent
-        self.knowledge_weakly_idempotent = knowledge_weakly_idempotent
-        self.knowledge_fixpoint = knowledge_fixpoint
-        self.negative_introspection = negative_introspection
 
     @property
     def hypotheses_hold(self) -> bool:
-        return self.decreasing and self.weakly_idempotent
-
-    @property
-    def consequences_hold(self) -> bool:
-        if not self.hypotheses_hold:
-            return False
-        checked = [
-            self.info_weakly_idempotent,
-            self.knowledge_weakly_idempotent,
-            self.knowledge_fixpoint,
-        ]
-        if self.negative_introspection is not None:
-            checked.append(self.negative_introspection)
-        return all(checked)
+        return self.decreasing_witness is None
 
 
 def check_coclosure_consequences(m: MAMA, agent: str) -> CoclosureReport:
-    """Decide whether f_A is decreasing and weakly idempotent and, if so,
-    report the consequences: f*_A <= f*_A o f*_A, K_A <= K_A o K_A,
-    K_A(l) = l for all l, and on Boolean carriers
-    not K_A(l) <= K_A(not K_A(l)).
+    """Decide the weak co-closure hypotheses of f_A by f_A <= id.
 
     f_A and the identity preserve joins, so f_A <= id holds iff it holds
-    on the join-irreducibles. Decreasing implies the rest: f_A(f_A(l)) <=
-    f_A(l), and f_A(l) <= l gives l <= f*_A(l) by adjunction, so K_A is the
-    identity and f*_A lies above it; the consequence rows are then
-    theorems. Only when decreasing fails are the elements scanned, in
-    index order, for the first witness against each hypothesis.
+    on the join-irreducibles. When it holds, so do the consequences:
+    f_A(l) <= l gives l <= f*_A(l) by adjunction, so K_A is the identity,
+    f*_A <= f*_A o f*_A, K_A <= K_A o K_A and, on Boolean carriers,
+    not K_A(l) <= K_A(not K_A(l)). Only when it fails are the elements
+    scanned, in index order, for the first witness.
     """
     lat = m.lattice
     f = m.appearance_map(agent)
     if all(lat.leq_(f(e), e) for e in lat.join_irreducibles()):
-        return CoclosureReport(
-            agent, True, None, True, None, True, True, True, True if lat.is_boolean else None
-        )
-    dec_wit = next(e for e in lat.elements if not lat.leq_(f(e), e))
-    ff = maps.compose(f, f)
-    idem_wit = next((e for e in lat.elements if not lat.leq_(ff(e), f(e))), None)
-    return CoclosureReport(
-        agent, False, dec_wit, idem_wit is None, idem_wit, None, None, None, None
-    )
+        return CoclosureReport(agent, None)
+    return CoclosureReport(agent, next(e for e in lat.elements if not lat.leq_(f(e), e)))

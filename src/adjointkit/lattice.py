@@ -97,8 +97,8 @@ class Element:
     """A lattice element: a dense index plus a display name.
 
     Elements are only meaningful relative to the lattice that created them;
-    the lattice uid makes cross-lattice mixups detectable. Two elements are
-    equal, and hash alike, when index, name and lattice uid agree.
+    the lattice uid makes cross-lattice mixups detectable. A lattice makes
+    each of its elements once, so elements compare and hash by identity.
     """
 
     __slots__ = ("index", "name", "lattice_uid")
@@ -107,18 +107,6 @@ class Element:
         self.index = index
         self.name = name
         self.lattice_uid = lattice_uid
-
-    def __eq__(self, other):
-        if other.__class__ is not Element:
-            return NotImplemented
-        return self is other or (
-            self.index == other.index
-            and self.lattice_uid == other.lattice_uid
-            and self.name == other.name
-        )
-
-    def __hash__(self):
-        return hash((self.index, self.name, self.lattice_uid))
 
     def __repr__(self):
         return f"<{self.name}>"

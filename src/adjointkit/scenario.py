@@ -30,7 +30,7 @@ Line-oriented block grammar, versioned with a mandatory `version 1` header:
     facts ATOM ...
 
     query ID check <term> |= <term> [expect holds|fails]
-    query ID prove <term> |= <term> [depth N]     (N >= 1)
+    query ID prove <term> |= <term> [depth N]     (1 <= N <= 200)
     query ID evaluate <term>
     query ID validate-axioms
 
@@ -169,9 +169,6 @@ class _Lines:
                 indent = len(body) - len(body.lstrip()) + 1
                 return self.i, body.strip(), indent
         return None
-
-    def push_back(self):
-        self.i -= 1
 
 
 def _split_arrow(lineno, text, col):
@@ -399,6 +396,8 @@ def _parse_query(lineno, body, col) -> Query:
             rest, depth = parts[0].strip(), int(parts[1].strip())
             if depth < 1:
                 raise ParseError(lineno, depth_col, "depth must be at least 1")
+            if depth > T.MAX_PROOF_DEPTH:
+                raise ParseError(lineno, depth_col, f"depth must be at most {T.MAX_PROOF_DEPTH}")
 
     seq = parse_entailment(rest, lineno, rest_col - 1)
     return Query(qid, kind, lhs=seq.lhs, rhs=seq.rhs, expect=expect, depth=depth)
@@ -667,17 +666,12 @@ def instantiate(doc: ScenarioDoc, *, full_lattice_axioms: bool = False) -> Insta
             mama, labels, updates, appearance, fact_elems, declared_kernels,
             full_lattice_axioms=full_lattice_axioms,
         )
-        atoms = {pname: env[pname] for pname, _ in doc.props}
-        for w in doc.worlds:
-            atoms[w] = env[w]
-        for n in doc.poset_elements:
-            atoms[n] = env[n]
-        model = SemanticModel(alg, atoms)
+        model = SemanticModel(alg, env)
 
-        for name in declared_kernels:
-            report = alg.kernel(name)
-            if not report.matches:
-                missed = ", ".join(e.name for e in report.undeclared_misses)
+        for name, declared in declared_kernels.items():
+            h = alg.update_map(name)
+            missed = ", ".join(e.name for e in declared if h(e) is not lat.bottom)
+            if missed:
                 raise KernelMismatch(
                     f"action {name!r}: declared kernel atoms not annihilated: {missed}"
                 )

@@ -59,10 +59,15 @@ REDEX_NO_MIRACLE = 16  # f[A](upd[a](t)) with a an action name: NoMiracle
 
 class Node:
     """An immutable interned node. Subclasses list their fields in
-    __slots__, in constructor order; a subclass with a redex kind of its
-    own computes its flags from those fields in _redex."""
+    __slots__, in constructor order. A node's redex flags are its
+    children's, together with the kinds of its own that a subclass computes
+    from its fields in _own_redex. term_depth is the node's depth (see
+    MAX_TERM_DEPTH): its deepest child's plus the class's _level, and 0 for
+    a leaf."""
 
-    __slots__ = ("__weakref__", "redex")
+    __slots__ = ("__weakref__", "redex", "term_depth")
+    _level = 1
+    _own_redex = None
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -74,21 +79,24 @@ class Node:
         if len(fields) != len(cls.__slots__):
             raise TypeError(f"{cls.__name__} takes fields {cls.__slots__}")
         node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            object.__setattr__(node, name, value)
-        object.__setattr__(node, "redex", cls._redex(*fields))
+        level = cls._level
+        deepest, redex = -level, 0  # a leaf's depth is then 0
+        for set_field, value in zip(cls._setters, fields):
+            set_field(node, value)
+            if isinstance(value, Node):
+                redex |= value.redex
+                if value.term_depth > deepest:
+                    deepest = value.term_depth
+        if cls._own_redex is not None:
+            redex |= cls._own_redex(*fields)
+        _set_redex(node, redex)
+        _set_term_depth(node, deepest + level)
         _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
-    @staticmethod
-    def _redex(*fields):
-        """The node's redex flags: here those of its children, for the
-        kinds that have none of their own."""
-        redex = 0
-        for value in fields:
-            if isinstance(value, Node):
-                redex |= value.redex
-        return redex
+    def __init_subclass__(cls):
+        # the slots' own setters, which bypass the read-only __setattr__
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"field {name!r} of an interned node is read-only")
@@ -108,6 +116,10 @@ class Node:
         return cls(*[arg if name == "arg" else getattr(self, name) for name in cls.__slots__])
 
 
+_set_redex = Node.__dict__["redex"].__set__
+_set_term_depth = Node.__dict__["term_depth"].__set__
+
+
 # -- action references ----------------------------------------------------
 
 class ActName(Node):
@@ -118,6 +130,7 @@ class ActApp(Node):
     """f'[agent](ref): how an action looks to an agent."""
 
     __slots__ = ("agent", "ref")
+    _level = 0  # an action position adds no level to a term's depth
 
 
 ActionRef = ActName | ActApp
@@ -161,15 +174,15 @@ class App(Node):
     __slots__ = ("agent", "arg")
 
     @staticmethod
-    def _redex(agent, arg):
+    def _own_redex(agent, arg):
         kind = type(arg)
         if kind is Atom:
             return REDEX_APP_ATOM
         if kind is Or or kind is Bot:
-            return arg.redex | REDEX_JOIN
+            return REDEX_JOIN
         if kind is Upd and type(arg.action) is ActName:
-            return arg.redex | REDEX_NO_MIRACLE
-        return arg.redex
+            return REDEX_NO_MIRACLE
+        return 0
 
 
 class Info(Node):
@@ -182,16 +195,16 @@ class Know(Node):
     __slots__ = ("agent", "arg")
 
     @staticmethod
-    def _redex(agent, arg):
-        return arg.redex | REDEX_DEF
+    def _own_redex(agent, arg):
+        return REDEX_DEF
 
 
 class Believe(Node):
     __slots__ = ("agent", "arg")
 
     @staticmethod
-    def _redex(agent, arg):
-        return arg.redex | REDEX_DEF
+    def _own_redex(agent, arg):
+        return REDEX_DEF
 
 
 class CK(Node):
@@ -206,8 +219,8 @@ class CK(Node):
         return Node.__new__(cls, agents, arg, depth)
 
     @staticmethod
-    def _redex(agents, arg, depth):
-        return arg.redex if depth is None else arg.redex | REDEX_DEF
+    def _own_redex(agents, arg, depth):
+        return 0 if depth is None else REDEX_DEF
 
 
 class Upd(Node):
@@ -216,10 +229,8 @@ class Upd(Node):
     __slots__ = ("action", "arg")
 
     @staticmethod
-    def _redex(action, arg):
-        redex = arg.redex
-        if type(action) is ActApp:
-            redex |= REDEX_ACT_APP
+    def _own_redex(action, arg):
+        redex = REDEX_ACT_APP if type(action) is ActApp else 0
         kind = type(arg)
         if kind is Or or kind is Bot:
             redex |= REDEX_JOIN
@@ -232,8 +243,8 @@ class After(Node):
     __slots__ = ("action", "arg")
 
     @staticmethod
-    def _redex(action, arg):
-        return arg.redex | REDEX_ACT_APP if type(action) is ActApp else arg.redex
+    def _own_redex(action, arg):
+        return REDEX_ACT_APP if type(action) is ActApp else 0
 
 
 Term = Atom | Bot | Top | Or | And | Not | App | Info | Know | Believe | CK | Upd | After
@@ -241,6 +252,7 @@ Term = Atom | Bot | Top | Or | And | Not | App | Info | Know | Believe | CK | Up
 
 class Sequent(Node):
     __slots__ = ("lhs", "rhs")
+    _level = 0  # a sequent is as deep as its deeper side
 
     def render(self) -> str:
         return f"{render_term(self.lhs)} |= {render_term(self.rhs)}"
@@ -385,9 +397,18 @@ def _tokenize(text: str, line: int, offset: int) -> list[tuple[str, str, int]]:
 # inside, and each ~ not followed by a parenthesis, against the same limit;
 # that count exceeds the depth only where parentheses group nothing new, as
 # in ((c)), which render_term never writes, so every term within the limit
-# renders to text that re-parses. The limit keeps the recursive parser,
-# evaluator, renderer, scenario resolver and prover inside Python's stack.
+# renders to text that re-parses. Every node carries its depth (term_depth;
+# an action position adds no level, as in the parser), and the prover takes
+# no move whose sequent has a side deeper than the limit. The limit keeps the
+# recursive parser, evaluator, renderer, scenario resolver and prover inside
+# Python's stack.
 MAX_TERM_DEPTH = 100
+
+# The largest proof search depth, for --depth and a prove query's depth N.
+# Search recurses twice per level and a proof is rendered once per level, so
+# with terms within MAX_TERM_DEPTH this keeps a search and its proof inside
+# Python's default recursion limit of 1,000 frames.
+MAX_PROOF_DEPTH = 200
 
 
 class _TermParser:

@@ -336,3 +336,42 @@ def random_mama(rng: random.Random, lat: FiniteLattice, n_agents: int):
         f"A{i}": right_adjoint(random_join_map(rng, lat)) for i in range(n_agents)
     }
     return MAMA(lat, pairs)
+
+
+def reference_coclosure(m, agent) -> dict:
+    """The co-closure laws of one agent by element-wise scans: the first
+    element, in index order, against f_A <= id and against weak idempotence
+    f_A(f_A(l)) <= f_A(l) (None where none fails), and whether each
+    consequence holds on every element: f*_A <= f*_A o f*_A,
+    K_A <= K_A o K_A, K_A = id and, on Boolean carriers only (else None),
+    negative introspection not K_A(l) <= K_A(not K_A(l))."""
+    lat = m.lattice
+    leq = lat.leq_
+    f, fstar = m.appearance_map(agent), m.information_map(agent)
+
+    def know(e):
+        return m.knowledge(agent, e)
+
+    def first(bad):
+        return next((e for e in lat.elements if bad(e)), None)
+
+    neg_intro = None
+    if lat.is_boolean:
+        neg = lat.complement
+        neg_intro = all(leq(neg(know(e)), know(neg(know(e)))) for e in lat.elements)
+    return {
+        "decreasing_witness": first(lambda e: not leq(f(e), e)),
+        "idempotent_witness": first(lambda e: not leq(f(f(e)), f(e))),
+        "info_weakly_idempotent": all(leq(fstar(e), fstar(fstar(e))) for e in lat.elements),
+        "knowledge_weakly_idempotent": all(leq(know(e), know(know(e))) for e in lat.elements),
+        "knowledge_fixpoint": all(know(e) is e for e in lat.elements),
+        "negative_introspection": neg_intro,
+    }
+
+
+def coclosure_consequences_hold(ref: dict) -> bool:
+    """Whether a reference_coclosure scan found every consequence of the
+    hypotheses to hold."""
+    return (ref["idempotent_witness"] is None and ref["info_weakly_idempotent"]
+            and ref["knowledge_weakly_idempotent"] and ref["knowledge_fixpoint"]
+            and ref["negative_introspection"] is not False)

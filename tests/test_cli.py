@@ -15,6 +15,7 @@ import adjointkit
 from adjointkit import cli, derivation, dynamics, maps, quantale
 from adjointkit.cli import main
 from adjointkit.derivation import KERNEL_DISCHARGE, ORDER_AXIOM, ProofNode
+from adjointkit import terms as T
 from adjointkit.terms import parse_entailment
 from conftest import built_models, perfbench_module, scenario_texts
 
@@ -100,13 +101,30 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
         return no_miracle(self, full_lattice, equality)
 
     fact_stability = dynamics.DynamicAlgebra.fact_stability_report
+    # order comparisons per fact-stability call: one per (communication
+    # action, fact) pair unless some pair fails and its elements are scanned
+    comparisons = []
 
     def counted_fact_stability(self, converse=False):
         events.append(("fact-stability", converse))
-        return fact_stability(self, converse)
+        owner = type(self.lattice)
+        leq = owner.leq_
+        calls = []
 
-    # the build computes the kernel of each action that declares one, once,
-    # and the axiom pass reports the kernel rows as ok
+        def counted_leq(lat, a, b):
+            calls.append(a)
+            return leq(lat, a, b)
+
+        owner.leq_ = counted_leq
+        try:
+            return fact_stability(self, converse)
+        finally:
+            owner.leq_ = leq
+            comparisons.append(len(calls))
+
+    # instantiate checks each declared kernel atom with one application of
+    # the update map, and the axiom pass reports the kernel rows as ok: a
+    # valid run computes no kernel
     kernel_calls = []
     kernel = dynamics.DynamicAlgebra.kernel
 
@@ -146,7 +164,11 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
     assert rows["lifted-no-miracle"] == (True, "")
     assert rows["non-paranoid-equalities"] == (None, "fail: lifted-no-miracle")
     assert rows["adjunctions"] == rows["fact-stability-forward"] == (True, "")
-    assert kernel_calls == ["a", "abar"]
+    # two communication actions and two facts: the forward direction holds
+    # and takes four comparisons; the converse fails, so it scans elements
+    assert comparisons[0] == 4 and comparisons[1] > 4
+    assert rows["fact-stability-converse"][0] is False
+    assert kernel_calls == []
     assert [(a["name"], a["ok"]) for a in data["axioms"] if a["name"].startswith("kernel")] == [
         ("kernel[a]", True), ("kernel[abar]", True)]
     # a single validate-axioms query runs the pass on demand
@@ -185,8 +207,18 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
     no_kernel.write_text(text.replace("  kernel H\n", ""))
     assert main(["run", str(no_kernel), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert kernel_calls == ["a"]
+    assert kernel_calls == []
     assert [a["name"] for a in data["axioms"] if a["name"].startswith("kernel")] == ["kernel[a]"]
+    # where every fact is stable both ways, no element is scanned for it
+    comparisons.clear()
+    stable = tmp_path / "stable-coin.scn"
+    stable.write_text(PUBLIC_COIN.replace("update t -> bot", "update t -> t"))
+    assert main(["run", str(stable), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert comparisons == [1, 1]
+    rows = {a["name"]: a["ok"] for a in data["axioms"]}
+    assert rows["fact-stability-forward"] is rows["fact-stability-converse"] is True
+    assert kernel_calls == []
 
 
 def test_every_built_adjoint_pair_is_an_adjunction():
@@ -240,6 +272,43 @@ def test_word_bound_below_one_is_rejected(scenario, bound, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert f"--word-bound must be at least 1, not {bound}" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("depth", [T.MAX_PROOF_DEPTH + 1, 10**6])
+def test_depth_flag_above_the_limit_is_rejected(depth, capsys):
+    assert main(["prove", fixture_path("coin-lying.scn"), "q3", f"--depth={depth}"]) == 3
+    captured = capsys.readouterr()
+    assert f"--depth must be at most {T.MAX_PROOF_DEPTH}, not {depth}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_deep_common_knowledge_at_the_depth_limit_ends_in_a_verdict(tmp_path, capsys):
+    # DefExpand unfolds CK into ever deeper terms; no move past the term
+    # depth limit is taken, so the search ends in a verdict, not a
+    # RecursionError
+    text = Path(fixture_path("coin-lying.scn")).read_text()
+    scn = tmp_path / "ck.scn"
+    scn.write_text(text + "query ck prove H |= CK[A,C:400](H)\n")
+    argv = ["prove", str(scn), "ck", "--depth", str(T.MAX_PROOF_DEPTH)]
+    assert main(argv) == 1
+    assert "not proved (depth_exhausted)" in capsys.readouterr().out
+    assert main([*argv, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdicts"][0]["ok"] is False
+
+
+def test_the_deepest_proof_renders(tmp_path, capsys):
+    # a proof as deep as the depth limit allows renders as text and JSON
+    scn = tmp_path / "deep.scn"
+    scn.write_text("version 1\nscenario deep\nmode symbolic\nworlds h t\nprop H = h\n"
+                   "agent A\n  def f[A](H) = H\nend\n"
+                   "query g prove H |= CK[A:49](H)\n")
+    argv = ["prove", str(scn), "g", "--depth", str(T.MAX_PROOF_DEPTH)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    indents = [len(line) - len(line.lstrip()) for line in out.splitlines() if "] " in line]
+    assert max(indents) // 2 >= T.MAX_PROOF_DEPTH - 5
+    assert main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"][0]["proof"]["rule"] == "DefExpand"
 
 
 def test_depth_flag_is_used_as_given(capsys):

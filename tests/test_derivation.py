@@ -217,6 +217,37 @@ def test_unprovable_goal():
     assert outcome.frontier[0].render() == "p |= bot"
 
 
+def test_no_move_past_the_term_depth_limit_is_taken(monkeypatch):
+    # a definition of f[A](H) that holds f[A](H) 45 levels down: each
+    # AppSubst step deepens the goal by 45, so the third would pass the term
+    # depth limit; that move is not taken, and the search ends in a verdict
+    # where it used to end in a RecursionError
+    body = parse_term("fi[A](" * 45 + "f[A](H)" + ")" * 45)
+    assumptions = Assumptions(
+        appearance_defs={("A", "H"): body}, action_appearance={}, kernels={},
+        facts=frozenset(), communication=frozenset(), agents=frozenset({"A"}),
+        actions=frozenset(), atoms=frozenset({"H", "t"}),
+    )
+    deepest = []
+    apply_rule = derivation.apply_rule
+
+    def watched(rule, goal, assumptions):
+        deepest.append(goal.term_depth)
+        return apply_rule(rule, goal, assumptions)
+
+    monkeypatch.setattr(derivation, "apply_rule", watched)
+    outcome = prove(parse_entailment("f[A](H) |= t"), assumptions)
+    assert outcome == NotProved("no_applicable_rule", outcome.frontier)
+    assert outcome.frontier[-1].lhs.term_depth == 91
+    assert max(deepest) == 91 <= derivation.T.MAX_TERM_DEPTH
+
+
+@pytest.mark.parametrize("depth", [0, derivation.T.MAX_PROOF_DEPTH + 1])
+def test_prove_refuses_a_depth_outside_its_range(depth):
+    with pytest.raises(ValueError, match="max_depth must be between 1 and"):
+        prove(parse_entailment("H |= H"), honest_assumptions(), depth)
+
+
 def test_depth_exhaustion():
     outcome = prove(parse_entailment("H |= after[a](fi[A](H))"), honest_assumptions(), 3)
     assert isinstance(outcome, NotProved)

@@ -13,7 +13,44 @@ from adjointkit import (
     build_mama,
     powerset_lattice,
 )
+from adjointkit.dynamics import DynamicAlgebra
+from adjointkit.maps import right_adjoint
 from conftest import honest_coin_model, random_join_map, random_lattice, random_mama
+
+
+def reference_kernel(alg, action):
+    """The kernel by a scan: every element the update sends to bottom."""
+    h = alg.update_map(action)
+    return tuple(e for e in alg.lattice.elements if h(e) is alg.lattice.bottom)
+
+
+def reference_fact_stability(alg, converse=False):
+    """Every (a, phi, l) against fact stability by a scan of all elements:
+    l <= phi but not h_a(l) <= phi, or with converse h_a(l) <= phi but not
+    l <= phi; communication actions, facts and elements in order."""
+    lat = alg.lattice
+    out = []
+    for a in alg.communication_actions:
+        h = alg.update_map(a)
+        for phi in alg.facts:
+            for l in lat.elements:
+                below, image_below = lat.leq_(l, phi), lat.leq_(h(l), phi)
+                if (image_below and not below) if converse else (below and not image_below):
+                    out.append((a, phi, l))
+    return tuple(out)
+
+
+def random_unvalidated_algebra(rng):
+    """Random updates, communication flags and facts on a random MAMA,
+    built without the no-miracle and fact-stability checks."""
+    lat = random_lattice(rng)
+    mama = random_mama(rng, lat, rng.randint(1, 2))
+    names = [f"a{i}" for i in range(rng.randint(1, 3))]
+    labels = {a: ActionLabel(a, rng.random() < 0.7) for a in names}
+    update = {a: right_adjoint(random_join_map(rng, lat)) for a in names}
+    appearance = {agent: {a: a for a in names} for agent in mama.agents}
+    facts = tuple(rng.choice(lat.elements) for _ in range(rng.randint(0, 3)))
+    return DynamicAlgebra(mama, labels, update, appearance, facts)
 
 
 def uncertainty_gens(lat):
@@ -57,21 +94,17 @@ def test_no_miracle_violation_with_witness(coin3):
 def test_kernel_of_honest_action():
     alg = honest_coin_model()
     lat = alg.lattice
-    report = alg.kernel("a")
-    # oracle: scan the update table directly
-    h = alg.update_map("a")
-    expected = [e for e in lat.elements if h(e) == lat.bottom]
-    assert list(report.computed) == expected
+    kernel = alg.kernel("a")
+    assert kernel == reference_kernel(alg, "a")
     dead = lat.subset(["t0", "h1"])
-    assert set(report.computed) == {e for e in lat.elements if lat.leq_(e, dead)}
-    assert report.declared == (lat.subset(["t0"]),)
-    assert report.matches
+    assert set(kernel) == {e for e in lat.elements if lat.leq_(e, dead)}
+    assert alg.declared_kernels == {"a": (lat.subset(["t0"]),)}
 
 
 def test_kernel_downclosed_and_join_closed():
     alg = honest_coin_model()
     lat = alg.lattice
-    kernel = set(alg.kernel("a").computed)
+    kernel = set(alg.kernel("a"))
     assert lat.bottom in kernel
     for x in kernel:
         for y in lat.elements:
@@ -88,11 +121,13 @@ def test_kernel_identity_and_constant_bottom(coin2):
         "kill": {j: coin2.bottom for j in coin2.join_irreducibles()},
     }
     alg = build_dynamic_algebra(mama, ["id", "kill"], updates)
-    assert list(alg.kernel("id").computed) == [coin2.bottom]
-    assert list(alg.kernel("kill").computed) == list(coin2.elements)
+    assert alg.kernel("id") == (coin2.bottom,)
+    assert alg.kernel("kill") == coin2.elements
 
 
 def test_kernel_mismatch_reported():
+    # the build takes declared kernels as given; scenario.instantiate is
+    # where a declared atom outside the kernel is refused
     lat = powerset_lattice(["h0", "t0", "h1"])
     s = lat.subset
     mama = build_mama(lat, {"A": uncertainty_gens(lat)})
@@ -102,15 +137,17 @@ def test_kernel_mismatch_reported():
         facts=(s(["h0", "h1"]),),
         declared_kernels={"a": (s(["t0"]), s(["h0"]))},  # {h0} is not annihilated
     )
-    report = alg.kernel("a")
-    assert not report.matches
-    assert report.undeclared_misses == (s(["h0"]),)
+    kernel = alg.kernel("a")
+    assert s(["t0"]) in kernel and s(["h0"]) not in kernel
+    assert kernel == reference_kernel(alg, "a")
 
 
 def test_unknown_action(coin3):
     alg = honest_coin_model()
     with pytest.raises(UnknownAction):
         alg.kernel("b")
+    with pytest.raises(UnknownAction):
+        alg.update_map("b")
 
 
 def test_fact_stability_forward_and_strict():
@@ -123,6 +160,24 @@ def test_fact_stability_forward_and_strict():
     # each breach is one of the converse: h_a(l) <= phi but l is not
     for a, phi, l in converse:
         assert lat.leq_(alg.update_map(a)(l), phi) and not lat.leq_(l, phi)
+
+
+def test_kernel_and_fact_stability_match_the_element_scans():
+    rng = random.Random(4242)
+    breached = {False: 0, True: 0}
+    stable = nontrivial_kernels = 0
+    for _ in range(150):
+        alg = random_unvalidated_algebra(rng)
+        for converse in (False, True):
+            got = alg.fact_stability_report(converse=converse)
+            assert got == reference_fact_stability(alg, converse)
+            breached[converse] += bool(got)
+            stable += not got and bool(alg.facts) and bool(alg.communication_actions)
+        for a in alg.actions:
+            kernel = alg.kernel(a)
+            assert kernel == reference_kernel(alg, a)
+            nontrivial_kernels += len(kernel) > 1
+    assert min(breached.values()) >= 20 and stable >= 20 and nontrivial_kernels >= 20
 
 
 def test_fact_stability_vacuous_without_facts(coin2):

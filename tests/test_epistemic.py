@@ -16,10 +16,17 @@ from adjointkit import (
 )
 from adjointkit.dynamics import DynamicAlgebra
 from adjointkit.epistemic import MAMA, CoclosureReport
-from adjointkit.maps import compose, right_adjoint
+from adjointkit.maps import right_adjoint
 from adjointkit.semantics import evaluate
 from adjointkit.terms import CK, Atom
-from conftest import random_decreasing_map, random_join_map, random_lattice, random_mama
+from conftest import (
+    coclosure_consequences_hold,
+    random_decreasing_map,
+    random_join_map,
+    random_lattice,
+    random_mama,
+    reference_coclosure,
+)
 
 
 @pytest.fixture
@@ -205,52 +212,31 @@ def test_unbounded_ck_evaluates_to_common_knowledge(seed):
 # -- co-closure consequences -----------------------------------------------------------
 
 
-def reference_coclosure(m, agent) -> CoclosureReport:
-    """The element-wise check: every hypothesis and consequence by a scan
-    of all elements."""
-    lat = m.lattice
-    f = m.appearance_map(agent)
-    dec_wit = next((e for e in lat.elements if not lat.leq_(f(e), e)), None)
-    ff = compose(f, f)
-    idem_wit = next((e for e in lat.elements if not lat.leq_(ff(e), f(e))), None)
-    if dec_wit is not None or idem_wit is not None:
-        return CoclosureReport(agent, dec_wit is None, dec_wit, idem_wit is None, idem_wit,
-                               None, None, None, None)
-    fstar = m.information_map(agent)
-    fsfs = compose(fstar, fstar)
-
-    def know(e):
-        return m.knowledge(agent, e)
-
-    neg_intro = None
-    if lat.is_boolean:
-        neg = lat.complement
-        neg_intro = all(lat.leq_(neg(know(e)), know(neg(know(e)))) for e in lat.elements)
-    return CoclosureReport(
-        agent, True, None, True, None,
-        all(lat.leq_(fstar(e), fsfs(e)) for e in lat.elements),
-        all(lat.leq_(know(e), know(know(e))) for e in lat.elements),
-        all(know(e) == e for e in lat.elements),
-        neg_intro,
-    )
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_coclosure_matches_the_element_wise_check(seed):
+    """The report's witness is the element-wise scan's first element against
+    f_A <= id; where there is none, the scans find weak idempotence and
+    every consequence on every element."""
     rng = random.Random(1000 + seed)
     lat = random_lattice(rng)
     make = random_decreasing_map if seed % 2 else random_join_map
     m = MAMA(lat, {"A": right_adjoint(make(rng, lat))})
-    fields = CoclosureReport.__slots__
     got, want = check_coclosure_consequences(m, "A"), reference_coclosure(m, "A")
-    assert [getattr(got, k) for k in fields] == [getattr(want, k) for k in fields]
+    assert CoclosureReport.__slots__ == ("agent", "decreasing_witness")
+    assert got.agent == "A"
+    assert got.decreasing_witness is want["decreasing_witness"]
+    assert got.hypotheses_hold is (want["decreasing_witness"] is None)
+    if got.hypotheses_hold:
+        assert coclosure_consequences_hold(want)
+        assert (want["negative_introspection"] is None) is not lat.is_boolean
 
 
 def test_coclosure_identity(coin2):
     m = identity_mama(coin2)
     rep = check_coclosure_consequences(m, "A")
-    assert rep.hypotheses_hold and rep.consequences_hold
-    assert rep.negative_introspection is True
+    assert rep.hypotheses_hold and rep.decreasing_witness is None
+    ref = reference_coclosure(m, "A")
+    assert coclosure_consequences_hold(ref) and ref["negative_introspection"] is True
 
 
 def test_coclosure_interior_map(coin2):
@@ -258,12 +244,12 @@ def test_coclosure_interior_map(coin2):
     m = build_mama(coin2, {"A": {s(["h"]): s(["h"]), s(["t"]): coin2.bottom}})
     rep = check_coclosure_consequences(m, "A")
     assert rep.hypotheses_hold
-    assert rep.consequences_hold
-    assert rep.knowledge_fixpoint is True
+    ref = reference_coclosure(m, "A")
+    assert coclosure_consequences_hold(ref) and ref["knowledge_fixpoint"] is True
 
 
 def test_coclosure_coin_hypotheses_fail(coin_mama, coin2):
     rep = check_coclosure_consequences(coin_mama, "A")
     assert not rep.hypotheses_hold
-    assert rep.decreasing_witness == coin2.subset(["h"])
-    assert rep.consequences_hold is False
+    assert rep.decreasing_witness is coin2.subset(["h"])
+    assert reference_coclosure(coin_mama, "A")["decreasing_witness"] is rep.decreasing_witness

@@ -224,6 +224,22 @@ def test_element_lookup_adds_no_state(chain3):
     assert set(vars(chain3)) == before
 
 
+def test_elements_compare_by_identity(chain3):
+    # a lattice makes each element once, so every lookup returns that object
+    mid = chain3.element("mid")
+    assert mid == mid and mid is chain3.element("mid") and hash(mid) == hash(mid)
+    assert len({mid, chain3.element("mid")}) == 1
+    # an equal lattice built again has its own elements
+    twin = build_from_order(
+        [e.name for e in chain3.elements],
+        [(a.name, b.name) for a in chain3.elements for b in chain3.elements
+         if chain3.leq_(a, b)],
+    )
+    assert twin.element("mid").name == "mid" and twin.element("mid").index == mid.index
+    assert twin.element("mid") != mid
+    assert powerset_lattice(["h", "t"]).top != powerset_lattice(["h", "t"]).top
+
+
 # -- joins and meets ---------------------------------------------------------------
 
 

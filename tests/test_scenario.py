@@ -15,6 +15,7 @@ from adjointkit import (
     serialize,
 )
 from adjointkit.scenario import ActionDecl, AgentDecl, Query, ScenarioDoc
+from adjointkit import terms as T
 from adjointkit.terms import Atom, Or
 
 
@@ -77,6 +78,16 @@ def test_prove_depth_below_one_is_a_located_parse_error():
     assert (err.value.line, err.value.column) == (6, 29)
     assert "depth must be at least 1" in str(err.value)
     assert parse_scenario(base + "query p1 prove H |= H depth 1\n").queries[0].depth == 1
+
+
+def test_prove_depth_above_the_limit_is_a_located_parse_error():
+    base = "version 1\nscenario d\nmode symbolic\nworlds w\nprop H = w\n"
+    limit = T.MAX_PROOF_DEPTH
+    with pytest.raises(ParseError) as err:
+        parse_scenario(base + f"query p1 prove H |= H depth {limit + 1}\n")
+    assert (err.value.line, err.value.column) == (6, 29)
+    assert f"depth must be at most {limit}" in str(err.value)
+    assert parse_scenario(base + f"query p1 prove H |= H depth {limit}\n").queries[0].depth == limit
 
 
 def test_undeclared_action_in_query():
@@ -305,5 +316,6 @@ def test_instantiate_broken_miracle_raises():
 
 def test_declared_kernel_must_be_realized():
     text = fixture_text("coin-honest.scn").replace("kernel T", "kernel T H")
-    with pytest.raises(KernelMismatch):
+    with pytest.raises(KernelMismatch, match=r"^action 'a': declared kernel atoms not "
+                       r"annihilated: \{h0,h1\}$"):
         instantiate(parse_scenario(text))

@@ -190,6 +190,21 @@ def test_redex_flags_equal_a_walk_of_the_tree(lhs, rhs):
     assert T.Sequent(lhs, rhs).redex == _redex_from_scratch(lhs) | _redex_from_scratch(rhs)
 
 
+def _depth_from_scratch(t):
+    """A term's depth by a walk of the tree: operators on its longest path,
+    action positions not counted."""
+    return max((1 + _depth_from_scratch(c) for c in T.children(t)), default=0)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(terms(), terms())
+def test_term_depth_equals_a_walk_of_the_tree(lhs, rhs):
+    assert lhs.term_depth == _depth_from_scratch(lhs)
+    assert T.Sequent(lhs, rhs).term_depth == max(lhs.term_depth, rhs.term_depth)
+    # the parser's depth limit counts the same levels
+    assert parse_term(render_term(lhs)).term_depth == lhs.term_depth
+
+
 def test_node_fields_are_read_only():
     t = parse_term("CK[A,B:2](f[A](H) \\/ upd[a](T))")
     with pytest.raises(AttributeError):
