@@ -1,58 +1,66 @@
-"""Finite complete lattices: explicit orders on tables, powersets on bitmasks.
+"""Finite complete lattices: explicit orders on bit rows, powersets on bitmasks.
 
-A lattice is built once, validated eagerly and is then immutable. Arrays
-are marked read-only, so concurrent readers are safe. There are two
-backends, chosen by what is being built:
+A lattice is built once, validated eagerly and is then immutable, so
+concurrent readers are safe. There are two backends, chosen by what is
+being built:
 
 - An explicit order (`build_from_order`, a `poset ... end` scenario block)
-  is a `FiniteLattice` with precomputed order, join and meet tables, and
-  every operation is a table lookup. Construction runs these checks and
-  analyses, each as a few whole-table numpy passes:
+  is a `FiniteLattice` that holds, for each element i, its up-set up[i] and
+  its down-set down[i] as Python ints (bit k set iff i <= k, respectively
+  k <= i), and dicts from each principal up-set and down-set back to its
+  element. The join of a and b is the element whose up-set is
+  up[a] & up[b], and the meet is dual, so every operation is a few bit
+  operations and a dict lookup. Construction runs these checks and
+  analyses:
 
-  - Poset: the order table is reflexive, antisymmetric and transitive
-    (up(k) lies inside up(i) whenever i <= k, compared on bit-packed rows).
-  - Lattice: every pair has a join and a meet. k is the join of i and j iff
-    k is an upper bound of both and |up(k)| = |ub(i, j)|, because up(k) is
-    contained in ub(i, j) for every upper bound k, so equal sizes mean k
-    lies below all of them. The meet is the dual.
-  - Join-irreducibles: the non-bottom elements that are not the join of two
-    strictly smaller ones, read off the join table.
-  - Distributivity: a finite lattice is distributive iff every
-    join-irreducible e is join-prime (e <= x \\/ y implies e <= x or
-    e <= y). In a distributive lattice irreducibles are prime; conversely,
-    if they all are, x -> {e irreducible : e <= x} embeds the lattice into a
-    powerset. This is the core of Birkhoff's representation theorem for
-    finite distributive lattices (Davey & Priestley, Introduction to
-    Lattices and Order, 2nd ed., 2002).
-  - Complements, in a distributive lattice: the unique y with
-    x /\\ y = bottom and x \\/ y = top; the lattice is Boolean when every
-    element has one.
+  - Poset: every row holds its own bit, no two rows hold each other's bit,
+    and up(k) lies inside up(i) whenever i <= k.
+  - Lattice: every pair has a join and a meet, i.e. the common upper
+    bounds up[a] & up[b] form a principal up-set, and dually.
+  - Join-irreducibles: the elements other than bottom whose strict down-set
+    is principal (they have one lower cover); meet-irreducibles dually.
+    Every element is the join of the join-irreducibles below it and the
+    meet of the meet-irreducibles above it, so a law on joins (meets) is
+    decided on the pairs (x, irreducible).
+  - Distributivity: with jd[x] = down[x] & J, J the join-irreducibles, the
+    lattice is distributive iff x -> jd[x] preserves joins, that is iff
+    jd[x \\/ j] = jd[x] | jd[j] for every x and every irreducible j. In a
+    distributive lattice this embeds the lattice into the powerset of J, and
+    conversely a lattice that embeds so is distributive. This is the core of
+    Birkhoff's representation theorem for finite distributive lattices
+    (Davey & Priestley, Introduction to Lattices and Order, 2nd ed., 2002,
+    ch. 5).
+  - Boolean: distributive with n = 2^|J|, when the embedding is onto; the
+    complement of x is then the element with jd = J - jd[x].
   - Height: the longest chain counted in covers, found by peeling off the
     minimal elements until none are left (Mirsky's theorem).
 
 - A powerset of worlds (`powerset_lattice`) is a `PowersetLattice`: element
   index i is the subset with bitmask i, so every operation is mask
-  arithmetic and nothing is tabulated or re-checked, since a powerset is
-  Boolean by construction. numpy is imported only by the table backend.
+  arithmetic and nothing is re-checked, since a powerset is Boolean by
+  construction.
 
-Each backend has one size limit, checked before anything is allocated. A
-powerset has at most MAX_POWERSET_WORLDS = 16 worlds. A table carrier, and
-the tables of a powerset when something reads them, has at most
-MAX_TABLE_ELEMENTS = 1,024 elements. The memory budget behind that number:
-the tables take 17 bytes a cell (17 MiB at 1,024 elements), but the
-transitivity check gathers a bit-packed row for every order pair, n^3/16
-bytes a copy on a chain, so building a 1,024-element chain peaks at about
-170 MB resident. Below these limits the element cap defaults to 256 and can
-be set with the ADJOINT_KIT_MAX_LATTICE environment variable, up to 2^16,
-the largest carrier either backend builds; a larger value is refused.
+Each backend has one size limit, checked before any per-element work. A
+powerset has at most MAX_POWERSET_WORLDS = 16 worlds. An explicit order has
+at most MAX_TABLE_ELEMENTS = 1,024 elements. The time budget behind that
+number: the closure, the poset, lattice and distributivity checks and the
+height each take up to one operation on n-bit rows per pair of elements,
+so construction grows with the square of n times the row length. Building
+a 1,024-element chain (every pair comparable, every element but bottom
+irreducible) takes about 2 s on a 2-core Xeon VM under CPython 3.11, at
+16 MB peak resident; the rows themselves take n^2/4 bytes, 256 KiB at
+1,024 elements. Below these limits the element cap defaults to 256 and can be
+set with the ADJOINT_KIT_MAX_LATTICE environment variable, up to 2^16, the
+largest carrier either backend builds; a larger value is refused.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
-from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import reduce
+from typing import Iterable, Sequence
 
 from .errors import (
     ForeignElement,
@@ -63,9 +71,6 @@ from .errors import (
     NotDistributive,
     TooManyWorlds,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_MAX_ELEMENTS = 256
 MAX_POWERSET_WORLDS = 16
@@ -114,47 +119,61 @@ class Element:
 
 class FiniteLattice:
     """A finite complete lattice over dense element indices 0..n-1, given by
-    its order table.
+    the up-set of each element as a bit row: bit k of up[i] is set iff
+    i <= k.
 
-    Exposes joins, meets, complements, Heyting implication and
-    join-irreducibles. Instances are immutable after construction.
+    Exposes joins, meets, complements, Heyting implication and the join-
+    and meet-irreducibles, on elements and, for the maps module, on bare
+    indices (`leq_index`, `join_index`, `meet_index`, and `join_over` and
+    `meet_over` for whole tables). Instances are immutable after
+    construction.
     """
 
     # tuple of world labels on a powerset carrier, None on an explicit order
     worlds = None
 
-    def __init__(self, names: Sequence[str], leq: np.ndarray):
-        import numpy as np
-
+    def __init__(self, names: Sequence[str], up: Sequence[int]):
         n = len(names)
         if len(set(names)) != n:
             raise NotAPoset("element names must be distinct")
-        _check_table_count(n)
-        leq = np.array(leq, dtype=bool)
-        if leq.shape != (n, n):
-            raise NotAPoset(f"order table must be {n}x{n}, got {leq.shape}")
-        _check_poset(names, leq)
+        _check_order_size(n)
+        up = tuple(up)
+        if len(up) != n or any(u >> n for u in up):
+            raise NotAPoset(f"order must be {n} rows of {n} bits")
+        down = _check_poset(names, up)
+        by_up = {u: i for i, u in enumerate(up)}
+        by_down = {d: i for i, d in enumerate(down)}
+        _check_bounds(names, up, down, by_up, by_down)
 
         self._set_elements(names)
-        self.leq = leq
-        self.leq.flags.writeable = False
-
-        self.join_table, self.meet_table = _bound_tables(names, leq)
-        self.join_table.flags.writeable = False
-        self.meet_table.flags.writeable = False
-
-        bottom_idx = int(np.where(leq[:, :].all(axis=1))[0][0])
-        top_idx = int(np.where(leq[:, :].all(axis=0))[0][0])
-        self.bottom = self.elements[bottom_idx]
-        self.top = self.elements[top_idx]
-
-        self._irreducibles = self._compute_join_irreducibles()
-        self.is_distributive = self._check_distributive()
-        self._complements = self._complement_table() if self.is_distributive else None
-        self.is_boolean = (
-            self._complements is not None and all(c is not None for c in self._complements)
+        self._up, self._down, self._by_up, self._by_down = up, down, by_up, by_down
+        full = (1 << n) - 1
+        self.bottom = self.elements[by_up[full]]
+        self.top = self.elements[by_down[full]]
+        # one lower (upper) cover: the strict down-set (up-set) is principal
+        self._irreducibles = tuple(
+            e for e, d in zip(self.elements, down)
+            if e is not self.bottom and (d ^ 1 << e.index) in by_down
         )
-        self.height = self._compute_height()
+        self._meet_irreducibles = tuple(
+            e for e, u in zip(self.elements, up)
+            if e is not self.top and (u ^ 1 << e.index) in by_up
+        )
+
+        # Birkhoff: distributive iff x -> jd[x], the irreducibles below x,
+        # preserves joins, and Boolean iff that embedding is onto
+        irr = [j.index for j in self._irreducibles]
+        mask = sum(1 << j for j in irr)
+        jd = [d & mask for d in down]
+        self.is_distributive = all(
+            jd[by_up[up[x] & up[j]]] == jd[x] | jd[j] for x in range(n) for j in irr
+        )
+        self.is_boolean = self.is_distributive and n == 1 << len(irr)
+        self._complements = None
+        if self.is_boolean:
+            by_jd = {v: i for i, v in enumerate(jd)}
+            self._complements = tuple(by_jd[mask ^ v] for v in jd)
+        self.height = _height(down)
 
     def _set_elements(self, names):
         self.uid = next(_uid_counter)
@@ -178,17 +197,26 @@ class FiniteLattice:
         except KeyError:
             raise ForeignElement(f"no element named {name!r}")
 
+    def leq_index(self, a: int, b: int) -> bool:
+        return self._up[a] >> b & 1 == 1
+
+    def join_index(self, a: int, b: int) -> int:
+        return self._by_up[self._up[a] & self._up[b]]
+
+    def meet_index(self, a: int, b: int) -> int:
+        return self._by_down[self._down[a] & self._down[b]]
+
     def leq_(self, a: Element, b: Element) -> bool:
         self.check(a), self.check(b)
-        return bool(self.leq[a.index, b.index])
+        return self.leq_index(a.index, b.index)
 
     def join2(self, a: Element, b: Element) -> Element:
         self.check(a), self.check(b)
-        return self.elements[self.join_table[a.index, b.index]]
+        return self.elements[self.join_index(a.index, b.index)]
 
     def meet2(self, a: Element, b: Element) -> Element:
         self.check(a), self.check(b)
-        return self.elements[self.meet_table[a.index, b.index]]
+        return self.elements[self.meet_index(a.index, b.index)]
 
     def join(self, xs: Iterable[Element]) -> Element:
         """Least upper bound of a set; the empty join is bottom."""
@@ -208,20 +236,17 @@ class FiniteLattice:
 
     def complement_table(self):
         """Per-element complement indices, or None when not Boolean."""
-        if not self.is_boolean:
-            return None
-        return tuple(self._complements)
+        return self._complements
 
     def heyting_implication(self, a: Element, b: Element) -> Element:
         """Relative pseudo-complement: join of every x with x /\\ a <= b."""
-        import numpy as np
-
         if not self.is_distributive:
             raise NotDistributive("Heyting implication needs a distributive lattice")
         self.check(a), self.check(b)
-        meets = self.meet_table[:, a.index]
-        below = np.where(self.leq[meets, b.index])[0]
-        return self.join(self.elements[i] for i in below)
+        a, b = a.index, b.index
+        return self.join(
+            x for x in self.elements if self.leq_index(self.meet_index(x.index, a), b)
+        )
 
     def heyting_negation(self, a: Element) -> Element:
         return self.heyting_implication(a, self.bottom)
@@ -229,6 +254,33 @@ class FiniteLattice:
     def join_irreducibles(self) -> tuple[Element, ...]:
         """Nonbottom elements that are not joins of strictly smaller ones."""
         return self._irreducibles
+
+    def join_over(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+        """Per element x, in index order, the index of the join of every v
+        with (k, v) in pairs and k <= x: the element whose up-set is the
+        intersection of their up-sets."""
+        up = self._up
+        acc = [(1 << self.n) - 1] * self.n
+        for k, v in pairs:
+            row = up[v]
+            for x in _bits(up[k]):
+                acc[x] &= row
+        return tuple(self._by_up[u] for u in acc)
+
+    def meet_over(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+        """Per element x, in index order, the index of the meet of every v
+        with (k, v) in pairs and x <= k."""
+        down = self._down
+        acc = [(1 << self.n) - 1] * self.n
+        for k, v in pairs:
+            row = down[v]
+            for x in _bits(down[k]):
+                acc[x] &= row
+        return tuple(self._by_down[d] for d in acc)
+
+    def meet_irreducibles(self) -> tuple[Element, ...]:
+        """Nontop elements that are not meets of strictly larger ones."""
+        return self._meet_irreducibles
 
     # -- powerset conveniences --------------------------------------------
 
@@ -250,50 +302,9 @@ class FiniteLattice:
         )
         return f"FiniteLattice(n={self.n}, {kind})"
 
-    # -- construction-time analysis ---------------------------------------
 
-    def _check_distributive(self) -> bool:
-        import numpy as np
-
-        # Birkhoff: distributive iff every join-irreducible e is join-prime,
-        # i.e. e <= x \/ y exactly when e <= x or e <= y.
-        for e in self._irreducibles:
-            up = self.leq[e.index]
-            if not np.array_equal(up[self.join_table], up[:, None] | up[None, :]):
-                return False
-        return True
-
-    def _complement_table(self):
-        # In a distributive lattice complements are unique when they exist.
-        is_comp = (self.meet_table == self.bottom.index) & (self.join_table == self.top.index)
-        first = is_comp.argmax(axis=1)
-        return [int(y) if is_comp[x, y] else None for x, y in enumerate(first)]
-
-    def _compute_join_irreducibles(self):
-        import numpy as np
-
-        # x is join-reducible iff x = y \/ z with y, z strictly below x, i.e.
-        # iff x is in the join table at a pair that does not contain x.
-        jt = self.join_table
-        idx = np.arange(self.n)
-        reducible = np.zeros(self.n, dtype=bool)
-        reducible[jt[(jt != idx[:, None]) & (jt != idx[None, :])]] = True
-        reducible[self.bottom.index] = True
-        return tuple(self.elements[i] for i in np.flatnonzero(~reducible))
-
-    def _compute_height(self) -> int:
-        import numpy as np
-
-        # Longest chain length measured in covers: by Mirsky's theorem the
-        # longest chain has as many elements as there are rounds of removing
-        # the minimal elements of what is left.
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        left = np.ones(self.n, dtype=bool)
-        rounds = 0
-        while left.any():
-            left &= strict[left].any(axis=0)
-            rounds += 1
-        return rounds - 1
+def _mask_leq(a: int, b: int) -> bool:
+    return a & ~b == 0
 
 
 class PowersetLattice(FiniteLattice):
@@ -302,15 +313,17 @@ class PowersetLattice(FiniteLattice):
 
     Element index i denotes the subset with bitmask i, so the order is mask
     inclusion, join and meet are bitwise or and and, the complement of i is
-    top ^ i, the join-irreducibles are the singletons and the height is the
-    number of worlds. A powerset is Boolean by construction, so none of the
-    checks of an explicit order runs. The `leq`, `join_table`, `meet_table`
-    and `_complements` attributes are built on first access, under the table
-    size limit.
+    top ^ i, the join-irreducibles are the singletons, the meet-irreducibles
+    their complements and the height is the number of worlds. A powerset is
+    Boolean by construction, so none of the checks of an explicit order
+    runs.
     """
 
     is_distributive = True
     is_boolean = True
+    leq_index = staticmethod(_mask_leq)
+    join_index = staticmethod(operator.or_)
+    meet_index = staticmethod(operator.and_)
 
     def __init__(self, worlds: Sequence[str]):
         worlds = tuple(worlds)
@@ -328,19 +341,10 @@ class PowersetLattice(FiniteLattice):
         self.worlds = worlds
         self.bottom, self.top = self.elements[0], self.elements[-1]
         self._irreducibles = tuple(self.elements[1 << k] for k in range(len(worlds)))
+        self._meet_irreducibles = tuple(
+            self.elements[n - 1 ^ 1 << k] for k in reversed(range(len(worlds)))
+        )
         self.height = len(worlds)
-
-    def leq_(self, a: Element, b: Element) -> bool:
-        self.check(a), self.check(b)
-        return (a.index & ~b.index) == 0
-
-    def join2(self, a: Element, b: Element) -> Element:
-        self.check(a), self.check(b)
-        return self.elements[a.index | b.index]
-
-    def meet2(self, a: Element, b: Element) -> Element:
-        self.check(a), self.check(b)
-        return self.elements[a.index & b.index]
 
     def complement(self, a: Element) -> Element:
         self.check(a)
@@ -353,46 +357,32 @@ class PowersetLattice(FiniteLattice):
         self.check(a), self.check(b)
         return self.elements[(self.top.index ^ a.index) | b.index]
 
-    # -- tables, on first access --------------------------------------------
+    def join_over(self, pairs):
+        return tuple(
+            reduce(operator.or_, (v for k, v in pairs if k & ~x == 0), 0) for x in range(self.n)
+        )
 
-    def _masks(self):
-        import numpy as np
-
-        _check_table_count(self.n)
-        return np.arange(self.n)
-
-    @cached_property
-    def leq(self):
-        masks = self._masks()
-        leq = (masks[:, None] & masks[None, :]) == masks[:, None]
-        leq.flags.writeable = False
-        return leq
-
-    @cached_property
-    def join_table(self):
-        masks = self._masks()
-        table = masks[:, None] | masks[None, :]
-        table.flags.writeable = False
-        return table
-
-    @cached_property
-    def meet_table(self):
-        masks = self._masks()
-        table = masks[:, None] & masks[None, :]
-        table.flags.writeable = False
-        return table
-
-    @cached_property
-    def _complements(self):
-        return list(self.complement_table())
+    def meet_over(self, pairs):
+        return tuple(
+            reduce(operator.and_, (v for k, v in pairs if x & ~k == 0), self.n - 1)
+            for x in range(self.n)
+        )
 
 
 def _subset_name(worlds, mask):
     return "{" + ",".join(w for k, w in enumerate(worlds) if mask >> k & 1) + "}"
 
 
-def _check_table_count(n):
-    """The element cap, then the limit on n x n tables."""
+def _bits(x: int):
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _check_order_size(n):
+    """The element cap, then the limit on explicit orders."""
     if n == 0:
         raise NotALattice("a lattice needs at least one element")
     cap = max_elements()
@@ -404,81 +394,79 @@ def _check_table_count(n):
         )
 
 
-def _check_poset(names, leq):
-    import numpy as np
-
-    if not leq.diagonal().all():
-        i = int(np.where(~leq.diagonal())[0][0])
-        raise NotAPoset(f"order not reflexive at {names[i]!r}")
-    both = leq & leq.T
-    np.fill_diagonal(both, False)
-    if both.any():
-        i, j = (int(k) for k in np.argwhere(both)[0])
-        raise NotAPoset(f"antisymmetry violated between {names[i]!r} and {names[j]!r}")
-    # Transitive iff up(k) lies inside up(i) whenever i <= k: one gather of
-    # bit-packed rows over the pairs of the order.
-    rows = np.packbits(leq, axis=1)
-    below, above = np.nonzero(leq)
-    if (rows[above] & ~rows[below]).any():
-        # numpy's bool matmul is the exact boolean product
-        i, j = (int(k) for k in np.argwhere((leq @ leq) & ~leq)[0])
-        raise NotAPoset(f"order not transitive: missing {names[i]!r} <= {names[j]!r}")
-
-
-def _least_bounds(leq):
-    """For each pair (i, j), the least k with leq[i, k] and leq[j, k], and a
-    mask of the pairs that have one.
-
-    Columns go in a linear extension (larger up-sets first), so the first
-    common bound of i and j is a minimal one. It is the least one iff its own
-    up-set, which lies inside the common bounds, is as large as they are.
-    """
-    import numpy as np
-
-    n_up = leq.sum(axis=1)
-    order = np.argsort(-n_up)
-    up, n_up = leq[:, order], n_up[order]
-    least = np.empty(leq.shape, dtype=np.intp)
-    found = np.empty(leq.shape, dtype=bool)
-    for i in range(len(leq)):
-        common = up[i] & up
-        first = common.argmax(axis=1)
-        found[i] = np.count_nonzero(common, axis=1) == n_up[first]
-        least[i] = order[first]
-    return least, found
+def _check_poset(names, up) -> tuple:
+    """The down-set rows of the order given by its up-set rows, after
+    checking reflexivity, then antisymmetry, then transitivity. Each check
+    reports the first offending pair in row-major order."""
+    for i, u in enumerate(up):
+        if not u >> i & 1:
+            raise NotAPoset(f"order not reflexive at {names[i]!r}")
+    # one pass over the pairs i <= k builds the down-set rows and what each
+    # i reaches in two steps but not in one: transitive iff up(k) lies
+    # inside up(i) whenever i <= k
+    down, missing = [0] * len(up), []
+    for i, u in enumerate(up):
+        bit, reach = 1 << i, 0
+        for k in _bits(u):
+            down[k] |= bit
+            reach |= up[k]
+        missing.append(reach & ~u)
+    for i, (u, d) in enumerate(zip(up, down)):
+        both = u & d ^ 1 << i
+        if both:
+            raise NotAPoset(f"antisymmetry violated between {names[i]!r} and {names[next(_bits(both))]!r}")
+    for i, m in enumerate(missing):
+        if m:
+            raise NotAPoset(f"order not transitive: missing {names[i]!r} <= {names[next(_bits(m))]!r}")
+    return tuple(down)
 
 
-def _bound_tables(names, leq):
-    import numpy as np
+def _check_bounds(names, up, down, by_up, by_down):
+    """Raise NotALattice on the first pair, in row order, whose common upper
+    bounds (lower bounds) are not a principal up-set (down-set); its join is
+    reported before its meet."""
+    for i, (ui, di) in enumerate(zip(up, down)):
+        for j in range(i + 1, len(up)):
+            if (ui & up[j]) not in by_up:
+                kind = "join"
+            elif (di & down[j]) not in by_down:
+                kind = "meet"
+            else:
+                continue
+            raise NotALattice(
+                f"pair ({names[i]!r}, {names[j]!r}) has no {kind}",
+                pair=(names[i], names[j]),
+            )
 
-    join, has_join = _least_bounds(leq)
-    meet, has_meet = _least_bounds(leq.T)
-    # Report the first failing pair in row order, its join before its meet:
-    # the order in which a pair-by-pair scan meets them. The mask is
-    # symmetric, so that pair has i <= j.
-    bad = ~(has_join & has_meet)
-    if bad.any():
-        i, j = (int(k) for k in np.argwhere(bad)[0])
-        kind = "meet" if has_join[i, j] else "join"
-        raise NotALattice(
-            f"pair ({names[i]!r}, {names[j]!r}) has no {kind}",
-            pair=(names[i], names[j]),
-        )
-    return join, meet
+
+def _height(down) -> int:
+    # Longest chain length measured in covers: by Mirsky's theorem the
+    # longest chain has as many elements as there are rounds of removing
+    # the minimal elements of what is left.
+    left, rounds = (1 << len(down)) - 1, 0
+    while left:
+        left = sum(1 << k for k in _bits(left) if down[k] & left != 1 << k)
+        rounds += 1
+    return rounds - 1
 
 
-def _transitive_closure(leq):
-    """Transitive closure of a boolean table, in place (Warshall)."""
-    for k in range(len(leq)):
-        leq[leq[:, k]] |= leq[k]
-    return leq
+def _transitive_closure(n, pairs) -> list:
+    """The up-set rows of the reflexive and transitive closure of the index
+    pairs (Warshall, on rows)."""
+    up = [1 << i for i in range(n)]
+    for i, j in pairs:
+        up[i] |= 1 << j
+    for k in range(n):
+        row, bit = up[k], 1 << k
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= row
+    return up
 
 
 def build_from_order(labels: Sequence[str], leq_pairs: Iterable[tuple[str, str]]) -> FiniteLattice:
     """Build a lattice from labels and order pairs (closed reflexively and
     transitively). Raises NotAPoset / NotALattice with the offending data."""
-    import numpy as np
-
     labels = list(labels)
     pos = {lab: i for i, lab in enumerate(labels)}
     if len(pos) != len(labels):
@@ -488,13 +476,10 @@ def build_from_order(labels: Sequence[str], leq_pairs: Iterable[tuple[str, str]]
         if a not in pos or b not in pos:
             raise ForeignElement(f"order pair ({a!r}, {b!r}) uses an unknown label")
         pairs.append((pos[a], pos[b]))
-    # The limits go before any n x n table: the closure alone costs ~n^3.
-    n = len(labels)
-    _check_table_count(n)
-    leq = np.eye(n, dtype=bool)
-    for i, j in pairs:
-        leq[i, j] = True
-    return FiniteLattice(labels, _transitive_closure(leq))
+    # The limits go before any per-element work: the closure alone is n^2
+    # row operations.
+    _check_order_size(len(labels))
+    return FiniteLattice(labels, _transitive_closure(len(labels), pairs))
 
 
 def powerset_lattice(worlds: Sequence[str]) -> PowersetLattice:

@@ -3,9 +3,16 @@
 A join-preserving f determines a meet-preserving right adjoint by
 f*(b) = join of every b' with f(b') <= b, and a meet-preserving g a
 join-preserving left adjoint by g*(b) = meet of every b' with b <= g(b').
-On an explicit order each is one numpy pass over the order table: the
-join of the candidates b' is the candidate with the largest down-set, the
-meet the one with the largest up-set.
+
+Every element of a finite lattice is the join of the join-irreducibles
+below it and the meet of the meet-irreducibles above it. So on an explicit
+order f*(b) is the join of the join-irreducibles j with f(j) <= b, and
+g*(b) the meet of the meet-irreducibles m with b <= g(m); f preserves
+joins iff f(bottom) = bottom and f(x \\/ j) = f(x) \\/ f(j) for every x and
+every join-irreducible j, and meets dually. The lattice's index-level
+`leq_index`, `join_index` and `meet_index` serve both carriers, and its
+`join_over` and `meet_over` build these tables on an explicit order's bit
+rows.
 
 On a powerset P(W) a join-preserving f is fixed by the relation
 R(w) = f({w}): f(S) = R[S], and f*(S) = {w : R(w) <= S} (Jonsson and
@@ -13,8 +20,9 @@ Tarski, "Boolean algebras with operators", 1951). A meet-preserving map is
 likewise fixed by its images of the coatoms W - {v}. So maps on a powerset
 are built from |W| images by bit operations on the subset masks, and a law
 that is join- or meet-preserving on both sides is decided on bottom and
-the singletons. Only when it fails does a scan in the order of the table
-check look for the first witness.
+the singletons. On either carrier, f -| g is decided as "f preserves joins
+and g is its right adjoint". Only when a law fails are all pairs scanned,
+in row-major order, for the first witness.
 
 Map flavor (join-preserving / meet-preserving / unclassified) is tracked
 explicitly and operations demand the flavor they need, so misuse fails
@@ -26,7 +34,6 @@ identity_map, constant_map); every other table is derived from such maps.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable
 
 from .errors import (
@@ -100,11 +107,6 @@ class LatticeMap:
     def __repr__(self):
         return f"LatticeMap({self.kind}, {list(self.table)})"
 
-    def as_array(self):
-        import numpy as np
-
-        return np.array(self.table, dtype=np.intp)
-
 
 class AdjointPair:
     """left -| right: left(b) <= b' iff b <= right(b'), all b, b'."""
@@ -171,12 +173,7 @@ def map_from_generators(lattice: FiniteLattice, assignments: dict) -> LatticeMap
     if lattice.worlds is not None:
         # the irreducibles are the singletons, in mask order
         return LatticeMap(lattice, _from_atoms([images[e.index] for e in irr]), JOIN_PRESERVING)
-    import numpy as np
-
-    table = np.full(lattice.n, lattice.bottom.index)
-    for j, img in images.items():
-        table = np.where(lattice.leq[j], lattice.join_table[table, img], table)
-    m = LatticeMap(lattice, table.tolist(), JOIN_PRESERVING)
+    m = LatticeMap(lattice, lattice.join_over(images.items()), JOIN_PRESERVING)
     if not lattice.is_distributive:
         violation = validate_join_preserving(m)
         if violation is not None:
@@ -194,68 +191,41 @@ def validate_join_preserving(m: LatticeMap) -> PreservationViolation | None:
     On a finite lattice this implies preservation of arbitrary joins.
     """
     lat = m.lattice
-    return _bound_violation(m, lat.bottom, lambda: lat.join_table, operator.or_, _join_extension)
+    if _preserves_joins(lat, m.table):
+        return None
+    return _bound_violation(m, lat.bottom, lat.join_index)
 
 
 def preserves_joins(m: LatticeMap) -> bool:
-    """Whether m preserves bottom and binary joins; on a powerset, in time
-    linear in the carrier."""
-    if m.lattice.worlds is not None:
-        return m.table == _join_extension(m.lattice, m.table)
-    return validate_join_preserving(m) is None
+    """Whether m preserves bottom and binary joins, without naming a
+    witness."""
+    return _preserves_joins(m.lattice, m.table)
 
 
 def validate_meet_preserving(m: LatticeMap) -> PreservationViolation | None:
     lat = m.lattice
-    return _bound_violation(m, lat.top, lambda: lat.meet_table, operator.and_, _meet_extension)
+    if _preserves_meets(lat, m.table):
+        return None
+    return _bound_violation(m, lat.top, lat.meet_index)
 
 
-def _bound_violation(m, unit, bound_table, mask_bound, extension):
+def _bound_violation(m, unit, bound):
     """First witness against m preserving the empty bound (unit) and the
-    binary bound, whose table bound_table() gives on an explicit order and
-    which mask_bound computes on a powerset; pairs go in row-major order."""
-    lat = m.lattice
-    t = m.table
+    binary bound; pairs go in row-major order. There is one."""
+    t, n, el = m.table, m.lattice.n, m.lattice.elements
     if t[unit.index] != unit.index:
         return PreservationViolation(None, m(unit), unit)
-    if lat.worlds is not None:
-        # m preserves joins (meets) iff it is the union (intersection)
-        # extension of its images of the singletons (their complements)
-        if t == extension(lat, t):
-            return None
-        a, b = _first_pair(lat.n, lambda a, b: t[mask_bound(a, b)] != mask_bound(t[a], t[b]))
-        lhs, rhs = t[mask_bound(a, b)], mask_bound(t[a], t[b])
-    else:
-        import numpy as np
-
-        bounds = bound_table()
-        ta = m.as_array()
-        lhs_t = ta[bounds]                  # m(a bound b)
-        rhs_t = bounds[np.ix_(ta, ta)]      # m(a) bound m(b)
-        bad = np.argwhere(lhs_t != rhs_t)
-        if not len(bad):
-            return None
-        a, b = (int(k) for k in bad[0])
-        lhs, rhs = int(lhs_t[a, b]), int(rhs_t[a, b])
-    el = lat.elements
-    return PreservationViolation((el[a], el[b]), el[lhs], el[rhs])
+    a, b = next(
+        (a, b) for a in range(n) for b in range(n) if t[bound(a, b)] != bound(t[a], t[b])
+    )
+    return PreservationViolation((el[a], el[b]), el[t[bound(a, b)]], el[bound(t[a], t[b])])
 
 
 def right_adjoint(f: LatticeMap) -> AdjointPair:
     """Compute f* with f*(b) = join of all b' such that f(b') <= b."""
     if f.kind != JOIN_PRESERVING:
         raise NotJoinPreserving("right_adjoint needs a join-preserving map")
-    lat = f.lattice
-    if lat.worlds is not None:
-        table = _right_adjoint_table(lat, f.table)
-    else:
-        import numpy as np
-
-        # the candidates b' with f(b') <= b are closed under joins, so their
-        # join is the one candidate whose down-set is strictly the largest
-        below = lat.leq.sum(axis=0)
-        table = np.where(lat.leq[f.as_array(), :], below[:, None], -1).argmax(axis=0).tolist()
-    fstar = LatticeMap(lat, table, MEET_PRESERVING)
+    fstar = LatticeMap(f.lattice, _right_adjoint_table(f.lattice, f.table), MEET_PRESERVING)
     return AdjointPair(left=f, right=fstar)
 
 
@@ -263,16 +233,7 @@ def left_adjoint(g: LatticeMap) -> AdjointPair:
     """Compute g* with g*(b) = meet of all b' such that b <= g(b')."""
     if g.kind != MEET_PRESERVING:
         raise NotMeetPreserving("left_adjoint needs a meet-preserving map")
-    lat = g.lattice
-    if lat.worlds is not None:
-        table = _left_adjoint_table(lat, g.table)
-    else:
-        import numpy as np
-
-        # dually, the meet of the candidates has the largest up-set
-        above = lat.leq.sum(axis=1)
-        table = np.where(lat.leq[:, g.as_array()], above, -1).argmax(axis=1).tolist()
-    gstar = LatticeMap(lat, table, JOIN_PRESERVING)
+    gstar = LatticeMap(g.lattice, _left_adjoint_table(g.lattice, g.table), JOIN_PRESERVING)
     return AdjointPair(left=gstar, right=g)
 
 
@@ -288,25 +249,19 @@ def de_morgan_dual(f: LatticeMap) -> LatticeMap:
 
 
 def verify_adjunction(f: LatticeMap, g: LatticeMap) -> tuple[Element, Element] | None:
-    """Exhaustively check f(b) <= b' iff b <= g(b'); return first violation."""
+    """Check f(b) <= b' iff b <= g(b') for all b, b'; return the first
+    violation in row-major order."""
     if f.lattice is not g.lattice:
         raise LatticeMismatch("adjunction candidates live on different lattices")
     lat = f.lattice
-    if lat.worlds is not None:
-        ft, gt = f.table, g.table
-        # f -| g iff f preserves joins and g is its right adjoint
-        if ft == _join_extension(lat, ft) and gt == _right_adjoint_table(lat, ft):
-            return None
-        b, bp = _first_pair(lat.n, lambda b, bp: ((ft[b] & ~bp) == 0) != ((b & ~gt[bp]) == 0))
-    else:
-        import numpy as np
-
-        lhs = lat.leq[f.as_array(), :]          # f(b) <= b'
-        rhs = lat.leq[:, g.as_array()]          # b <= g(b')
-        bad = np.argwhere(lhs != rhs)
-        if not len(bad):
-            return None
-        b, bp = (int(k) for k in bad[0])
+    ft, gt = f.table, g.table
+    # f -| g iff f preserves joins and g is its right adjoint
+    if _preserves_joins(lat, ft) and gt == _right_adjoint_table(lat, ft):
+        return None
+    leq, n = lat.leq_index, lat.n
+    b, bp = next(
+        (b, bp) for b in range(n) for bp in range(n) if leq(ft[b], bp) != leq(b, gt[bp])
+    )
     return lat.elements[b], lat.elements[bp]
 
 
@@ -326,23 +281,15 @@ def compose(f: LatticeMap, g: LatticeMap) -> LatticeMap:
 def pointwise_join(f: LatticeMap, g: LatticeMap) -> LatticeMap:
     _require_same(f, g)
     lat = f.lattice
-    if lat.worlds is not None:
-        table = map(operator.or_, f.table, g.table)
-    else:
-        table = lat.join_table[f.as_array(), g.as_array()].tolist()
     kind = JOIN_PRESERVING if f.kind == g.kind == JOIN_PRESERVING else UNCLASSIFIED
-    return LatticeMap(lat, table, kind)
+    return LatticeMap(lat, map(lat.join_index, f.table, g.table), kind)
 
 
 def pointwise_meet(f: LatticeMap, g: LatticeMap) -> LatticeMap:
     _require_same(f, g)
     lat = f.lattice
-    if lat.worlds is not None:
-        table = map(operator.and_, f.table, g.table)
-    else:
-        table = lat.meet_table[f.as_array(), g.as_array()].tolist()
     kind = MEET_PRESERVING if f.kind == g.kind == MEET_PRESERVING else UNCLASSIFIED
-    return LatticeMap(lat, table, kind)
+    return LatticeMap(lat, map(lat.meet_index, f.table, g.table), kind)
 
 
 def power(f: LatticeMap, i: int) -> LatticeMap:
@@ -441,30 +388,52 @@ def _coatoms(lat: FiniteLattice, t) -> list:
     return [t[lat.top.index ^ (1 << k)] for k in range(len(lat.worlds))]
 
 
-def _join_extension(lat: FiniteLattice, t) -> tuple:
-    return _from_atoms(_atoms(lat, t))
-
-
-def _meet_extension(lat: FiniteLattice, t) -> tuple:
-    return _from_coatoms(lat.top.index, _coatoms(lat, t))
-
-
 def _transpose_complement(rows) -> list:
     """Row v of the result has bit u set iff rows[u] has bit v clear."""
     k = len(rows)
     return [sum(1 << u for u in range(k) if not rows[u] >> v & 1) for v in range(k)]
 
 
+# -- laws and adjoint tables, by carrier kind: the powerset's doubling tables,
+# or an explicit order's irreducibles -------------------------------------------
+
+
+def _preserves_joins(lat: FiniteLattice, t) -> bool:
+    if lat.worlds is not None:
+        # the union extension of the images of the singletons
+        return t == _from_atoms(_atoms(lat, t))
+    return _preserves_on(t, lat.bottom.index, lat.join_index, lat.join_irreducibles())
+
+
+def _preserves_meets(lat: FiniteLattice, t) -> bool:
+    if lat.worlds is not None:
+        # the intersection extension of the images of the coatoms
+        return t == _from_coatoms(lat.top.index, _coatoms(lat, t))
+    return _preserves_on(t, lat.top.index, lat.meet_index, lat.meet_irreducibles())
+
+
+def _preserves_on(t, unit, bound, irreducibles) -> bool:
+    """Whether table t preserves the empty bound (unit) and the binary
+    bound, decided on the pairs (x, irreducible): every y is the bound of
+    the irreducibles below (above) it, so t(x bound y) = t(x) bound t(y)
+    follows by induction over them."""
+    return t[unit] == unit and all(
+        t[bound(x, j)] == bound(t[x], t[j]) for j in (e.index for e in irreducibles)
+        for x in range(len(t))
+    )
+
+
 def _right_adjoint_table(lat: FiniteLattice, t) -> tuple:
-    # f*(W - {v}) = {u : v not in f({u})}, and f* preserves meets
-    return _from_coatoms(lat.top.index, _transpose_complement(_atoms(lat, t)))
+    if lat.worlds is not None:
+        # f*(W - {v}) = {u : v not in f({u})}, and f* preserves meets
+        return _from_coatoms(lat.top.index, _transpose_complement(_atoms(lat, t)))
+    # j <= f*(b) iff f(j) <= b
+    return lat.join_over([(t[j.index], j.index) for j in lat.join_irreducibles()])
 
 
 def _left_adjoint_table(lat: FiniteLattice, t) -> tuple:
-    # g*({w}) = {v : w not in g(W - {v})}, and g* preserves joins
-    return _from_atoms(_transpose_complement(_coatoms(lat, t)))
-
-
-def _first_pair(n: int, bad) -> tuple[int, int]:
-    """The first (a, b) in row-major order with bad(a, b); there is one."""
-    return next((a, b) for a in range(n) for b in range(n) if bad(a, b))
+    if lat.worlds is not None:
+        # g*({w}) = {v : w not in g(W - {v})}, and g* preserves joins
+        return _from_atoms(_transpose_complement(_coatoms(lat, t)))
+    # g*(b) <= m iff b <= g(m)
+    return lat.meet_over([(t[m.index], m.index) for m in lat.meet_irreducibles()])

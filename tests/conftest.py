@@ -2,8 +2,8 @@
 
 The random generators are seeded by the tests that use them, so failures
 reproduce. Lattice sources: powersets (Boolean, on bitmasks), their table
-twins (the same powersets built as explicit orders, so they take the table
-path), chains, downset lattices of random posets (distributive by
+twins (the same powersets built as explicit orders, so they take the
+bit-row path), chains, downset lattices of random posets (distributive by
 construction), and bounded random posets rejection-sampled until every pair
 has a join and a meet (these routinely contain M3/N5, so the
 non-distributive territory is covered too).
@@ -180,7 +180,7 @@ def random_powerset(rng: random.Random, max_worlds=5) -> FiniteLattice:
 def table_twin(lat: FiniteLattice, masks=None) -> FiniteLattice:
     """A powerset built again as an explicit order: labels in mask order, or
     in the order of the given masks, and the inclusion pairs. The twin takes
-    the table path, with the same element names; in mask order, also with
+    the bit-row path of explicit orders, with the same element names; in mask order, also with
     the same element indices."""
     names = [e.name for e in lat.elements]
     pairs = [(names[a], names[b]) for a in range(lat.n) for b in range(lat.n) if a & ~b == 0]

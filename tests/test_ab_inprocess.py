@@ -23,5 +23,7 @@ def test_ab_inprocess_runs_the_tree_against_itself():
         "epistemic-256", "dynamic-words", "prove-nested"]
     for line in lines:
         m = re.search(r": (\d+) ops, outputs equal; median per-op ratio \d+\.\d{3}, "
-                      r"change faster on (\d+) of (\d+);", line)
+                      r"change faster on (\d+) of (\d+); per-op medians \d+\.\d{2} ms change, "
+                      r"\d+\.\d{2} ms parent; p90 of per-op medians \d+\.\d{2} ms change, "
+                      r"\d+\.\d{2} ms parent$", line)
         assert m and int(m[1]) > 0 and int(m[3]) == int(m[1]) and int(m[2]) <= int(m[1]), line

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -422,11 +423,19 @@ def _run_fresh(script, *args):
     return json.loads(proc.stdout)
 
 
-def test_powerset_commands_never_import_numpy():
-    # a fresh interpreter, because this test process imports numpy itself
-    seen = _run_fresh(NUMPY_PROBE, json.dumps(POWERSET_COMMANDS))
-    assert [argv for argv, _, _ in seen] == POWERSET_COMMANDS
-    assert [code for _, code, _ in seen] == [2, 0, 0, 0, 0, 0, 0, 0, 0]
+def test_no_command_imports_numpy(tmp_path):
+    # a fresh interpreter, so that nothing this test process imported counts;
+    # the explicit order is a generated 12 x 12 grid
+    grid = next(c for c in perfbench_module("gen").epistemic_cases(random.Random(5))
+                if c.name.startswith("grid"))
+    scn = tmp_path / "grid.scn"
+    scn.write_text(grid.text)
+    order_commands = [["run", str(scn)], ["run", "--json", str(scn)],
+                      ["validate", str(scn)], ["tables", str(scn), "f[A]"]]
+    commands = POWERSET_COMMANDS + order_commands
+    seen = _run_fresh(NUMPY_PROBE, json.dumps(commands))
+    assert [argv for argv, _, _ in seen] == commands
+    assert [code for _, code, _ in seen] == [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
     assert [argv for argv, _, numpy in seen if numpy] == []
 
 
@@ -486,6 +495,67 @@ def test_a_closed_stdout_keeps_the_exit_code_and_writes_no_traceback(argv, code)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+def shuffled_poset(text, rng):
+    """The scenario text with the lines of its poset block in random order."""
+    lines = text.splitlines()
+    start = lines.index("poset") + 1
+    end = lines.index("end", start)
+    block = lines[start:end]
+    rng.shuffle(block)
+    return "\n".join(lines[:start] + block + lines[end:]) + "\n"
+
+
+def coclosure_witness_is_real(text, row):
+    """Whether the element a co-closure row names breaks f[A] <= id."""
+    from adjointkit import instantiate, parse_scenario
+
+    agent = row["name"][len("coclosure-hypotheses["):-1]
+    model = instantiate(parse_scenario(text)).model
+    f = model.algebra.mama.appearance_map(agent)
+    w = model.lattice.element(row["detail"].rsplit(" ", 1)[1])
+    return not model.lattice.leq_(f(w), w)
+
+
+def test_shuffled_poset_lines_keep_every_verdict(tmp_path, capsys):
+    # An explicit order numbers its elements in the order the poset lines
+    # first name them, so a shuffle renumbers the carrier. Verdicts, exit
+    # code, carrier stats and axiom flags must not move; a witness, the
+    # first in index order, may, and each one named must be real.
+    from adjointkit import instantiate, parse_scenario
+
+    gen = perfbench_module("gen")
+    grids = [c for seed in (5, 7) for c in gen.epistemic_cases(random.Random(seed))
+             if c.name.startswith("grid")][:6]
+    rng = random.Random(404)
+    moved = 0
+    for case in grids:
+        runs = []
+        for text in (case.text, shuffled_poset(case.text, rng)):
+            scn = tmp_path / "grid.scn"
+            scn.write_text(text)
+            code = main(["run", "--json", str(scn)])
+            report = json.loads(capsys.readouterr().out)
+            lat = instantiate(parse_scenario(text)).model.lattice
+            stats = (lat.n, lat.is_distributive, lat.is_boolean, len(lat.join_irreducibles()),
+                     len(lat.meet_irreducibles()), lat.height)
+            runs.append((text, code, report, stats))
+        (text_a, code_a, report_a, stats_a), (text_b, code_b, report_b, stats_b) = runs
+        assert [e.name for e in instantiate(parse_scenario(text_a)).model.lattice.elements] != [
+            e.name for e in instantiate(parse_scenario(text_b)).model.lattice.elements]
+        assert (code_a, report_a["verdicts"], stats_a) == (code_b, report_b["verdicts"], stats_b)
+        for row_a, row_b in zip(report_a["axioms"], report_b["axioms"], strict=True):
+            assert [row_a[k] for k in ("name", "ok", "mandatory")] == [
+                row_b[k] for k in ("name", "ok", "mandatory")]
+            if row_a["detail"] != row_b["detail"]:
+                assert row_a["name"].startswith("coclosure-hypotheses[")
+                moved += 1
+            for text, row in ((text_a, row_a), (text_b, row_b)):
+                if " witness " in row["detail"]:
+                    assert coclosure_witness_is_real(text, row)
+    # the shuffles do move witnesses, so the comparison above is not vacuous
+    assert moved > 0
 
 
 def test_validate_broken_miracle_exits_two(capsys):

@@ -2,8 +2,8 @@
 
 A powerset carrier computes on bitmasks; its table twin is the same
 powerset built as an explicit order (labels in mask order, the inclusion
-pairs), so it takes the numpy table path with the same element indices and
-names. Every lattice analysis, every maps function (results, violation
+pairs), so it takes the bit-row path of explicit orders with the same
+element indices and names. Every lattice analysis, every maps function (results, violation
 pairs and messages) and the epistemic-system rows must come out the same on
 both, on random maps and on maps corrupted to break their laws.
 """
@@ -64,16 +64,15 @@ def analysis(lat):
     el = lat.elements
     return {
         "names": [e.name for e in el],
-        "leq": lat.leq.tolist(),
-        "join": lat.join_table.tolist(),
-        "meet": lat.meet_table.tolist(),
         "bottom": lat.bottom.index,
         "top": lat.top.index,
         "is_distributive": lat.is_distributive,
         "is_boolean": lat.is_boolean,
-        "complements": list(lat._complements),
         "complement_table": lat.complement_table(),
         "irreducibles": [e.index for e in lat.join_irreducibles()],
+        "meet_irreducibles": [e.index for e in lat.meet_irreducibles()],
+        "join_over": lat.join_over([(a.index, b.index) for a, b in zip(el, reversed(el))]),
+        "meet_over": lat.meet_over([(a.index, b.index) for a, b in zip(el, el[1:])]),
         "height": lat.height,
         "repr": repr(lat),
         "ops": [
