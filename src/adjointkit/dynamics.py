@@ -107,10 +107,11 @@ class DynamicAlgebra:
         return maps.gfp_meet(hstar)(l)
 
     def fact_stability_report(
-        self, converse: bool = False
+        self, converse: bool = False, limit: int | None = None
     ) -> tuple[tuple[str, Element, Element], ...]:
         """Every (a, phi, l) against forward fact stability, l <= phi implies
-        h_a(l) <= phi, for the communication actions a and the facts phi.
+        h_a(l) <= phi, for the communication actions a and the facts phi;
+        with a limit, only the first that many.
 
         converse scans h_a(l) <= phi implies l <= phi instead. It fails at
         kernel elements in any model where a communication action
@@ -135,6 +136,8 @@ class DynamicAlgebra:
                         premise, conclusion = conclusion, premise
                     if premise and not conclusion:
                         breaches.append((name, phi, l))
+                        if len(breaches) == limit:
+                            return tuple(breaches)
         return tuple(breaches)
 
     def no_miracle_violations(self, full_lattice: bool = False, equality: bool = False):
@@ -215,7 +218,7 @@ def build_dynamic_algebra(
 
     for violation in alg.no_miracle_violations(full_lattice=full_lattice_axioms):
         raise violation
-    breaches = alg.fact_stability_report()
+    breaches = alg.fact_stability_report(limit=1)
     if breaches:
         raise FactStabilityViolation(*breaches[0])
     return alg

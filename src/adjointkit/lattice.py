@@ -5,53 +5,56 @@ concurrent readers are safe. There are two backends, chosen by what is
 being built:
 
 - An explicit order (`build_from_order`, a `poset ... end` scenario block)
-  is a `FiniteLattice` that holds, for each element i, its up-set up[i] and
-  its down-set down[i] as Python ints (bit k set iff i <= k, respectively
-  k <= i), and dicts from each principal up-set and down-set back to its
-  element. The join of a and b is the element whose up-set is
-  up[a] & up[b], and the meet is dual, so every operation is a few bit
-  operations and a dict lookup. Construction runs these checks and
-  analyses:
+  is a `FiniteLattice` built from index pairs i <= k, which it closes
+  itself. It holds each element's up-set up[i] and down-set down[i] as
+  Python ints (bit k set iff i <= k, respectively k <= i), its upper
+  covers, a linear extension, and dicts from each principal up-set and
+  down-set back to its element. The join of a and b is the element whose
+  up-set is up[a] & up[b], and the meet is dual. Construction:
 
-  - Poset: every row holds its own bit, no two rows hold each other's bit,
-    and up(k) lies inside up(i) whenever i <= k.
-  - Lattice: every pair has a join and a meet, i.e. the common upper
-    bounds up[a] & up[b] form a principal up-set, and dually.
-  - Join-irreducibles: the elements other than bottom whose strict down-set
-    is principal (they have one lower cover); meet-irreducibles dually.
-    Every element is the join of the join-irreducibles below it and the
-    meet of the meet-irreducibles above it, so a law on joins (meets) is
+  - Closure: one iterative pass of Tarjan's strongly connected components
+    algorithm (SIAM J. Comput. 1, 1972). A component is finished after all
+    components above it, so its up-set is its own bit or its successors'
+    up-sets: the rows are reflexive and transitive by construction. A
+    component of two or more elements breaks antisymmetry. Every cover is a
+    pair, so the upper covers of i are its successors that lie above no
+    other successor. Down-sets, the height (the longest path of covers),
+    `join_over` and `meet_over` run along the covers.
+  - Join-irreducibles: the elements with one lower cover; meet-irreducibles
+    dually. Every element is the join of the join-irreducibles below it and
+    the meet of the meet-irreducibles above it, so a law on joins (meets) is
     decided on the pairs (x, irreducible).
+  - Lattice: a finite poset with a bottom in which x \\/ j exists for every
+    x and every join-irreducible j is a lattice. By induction on the height
+    of y, x \\/ y exists: if y has two lower covers y1 and y2, then
+    y = y1 \\/ y2 and x \\/ y = (x \\/ y1) \\/ y2. Meets follow, as in any
+    finite join-semilattice with a bottom.
   - Distributivity: with jd[x] = down[x] & J, J the join-irreducibles, the
     lattice is distributive iff x -> jd[x] preserves joins, that is iff
-    jd[x \\/ j] = jd[x] | jd[j] for every x and every irreducible j. In a
-    distributive lattice this embeds the lattice into the powerset of J, and
-    conversely a lattice that embeds so is distributive. This is the core of
-    Birkhoff's representation theorem for finite distributive lattices
-    (Davey & Priestley, Introduction to Lattices and Order, 2nd ed., 2002,
-    ch. 5).
+    jd[x \\/ j] = jd[x] | jd[j] for every x and every irreducible j; this
+    embeds the lattice into the powerset of J, the core of Birkhoff's
+    representation theorem (Davey & Priestley, Introduction to Lattices and
+    Order, 2nd ed., 2002, ch. 5). Both laws hold on comparable pairs, so one
+    loop over the incomparable pairs (x, j) decides both, one lookup each.
+    Only when a join is missing are all pairs scanned, to name the first.
   - Boolean: distributive with n = 2^|J|, when the embedding is onto; the
     complement of x is then the element with jd = J - jd[x].
-  - Height: the longest chain counted in covers, found by peeling off the
-    minimal elements until none are left (Mirsky's theorem).
 
 - A powerset of worlds (`powerset_lattice`) is a `PowersetLattice`: element
   index i is the subset with bitmask i, so every operation is mask
-  arithmetic and nothing is re-checked, since a powerset is Boolean by
-  construction.
+  arithmetic and nothing is re-checked: a powerset is Boolean.
 
 Each backend has one size limit, checked before any per-element work. A
-powerset has at most MAX_POWERSET_WORLDS = 16 worlds. An explicit order has
-at most MAX_TABLE_ELEMENTS = 1,024 elements. The time budget behind that
-number: the closure, the poset, lattice and distributivity checks and the
-height each take up to one operation on n-bit rows per pair of elements,
-so construction grows with the square of n times the row length. Building
-a 1,024-element chain (every pair comparable, every element but bottom
-irreducible) takes about 2 s on a 2-core Xeon VM under CPython 3.11, at
-16 MB peak resident; the rows themselves take n^2/4 bytes, 256 KiB at
-1,024 elements. Below these limits the element cap defaults to 256 and can be
-set with the ADJOINT_KIT_MAX_LATTICE environment variable, up to 2^16, the
-largest carrier either backend builds; a larger value is refused.
+powerset has at most MAX_POWERSET_WORLDS = 16 worlds, an explicit order
+MAX_TABLE_ELEMENTS = 1,024 elements. The closure takes one operation on
+n-bit rows per pair given, and the lattice check one per incomparable pair
+(element, join-irreducible). A 1,024-element chain builds in about 5 ms,
+and M_1022 (1,022 incomparable atoms, all irreducible: a million pairs) in
+0.2-0.5 s on a 2-core Xeon VM under CPython 3.11; the rows take n^2/4
+bytes, 256 KiB at 1,024 elements. Below these limits the element cap
+defaults to 256 and can be set with the ADJOINT_KIT_MAX_LATTICE environment
+variable, up to 2^16, the largest carrier either backend builds; a larger
+value is refused.
 """
 
 from __future__ import annotations
@@ -119,8 +122,8 @@ class Element:
 
 class FiniteLattice:
     """A finite complete lattice over dense element indices 0..n-1, given by
-    the up-set of each element as a bit row: bit k of up[i] is set iff
-    i <= k.
+    index pairs (i, k) for i <= k and closed reflexively and transitively;
+    bit k of the up-set row up[i] is then set iff i <= k.
 
     Exposes joins, meets, complements, Heyting implication and the join-
     and meet-irreducibles, on elements and, for the maps module, on bare
@@ -132,48 +135,41 @@ class FiniteLattice:
     # tuple of world labels on a powerset carrier, None on an explicit order
     worlds = None
 
-    def __init__(self, names: Sequence[str], up: Sequence[int]):
+    def __init__(self, names: Sequence[str], pairs: Iterable[tuple[int, int]]):
         n = len(names)
         if len(set(names)) != n:
             raise NotAPoset("element names must be distinct")
-        _check_order_size(n)
-        up = tuple(up)
-        if len(up) != n or any(u >> n for u in up):
-            raise NotAPoset(f"order must be {n} rows of {n} bits")
-        down = _check_poset(names, up)
+        # the element cap, then the limit on explicit orders, before any
+        # per-element work
+        if n == 0:
+            raise NotALattice("a lattice needs at least one element")
+        cap = max_elements()
+        if n > cap:
+            raise LatticeTooLarge(f"{n} elements exceeds the cap of {cap}")
+        if n > MAX_TABLE_ELEMENTS:
+            raise LatticeTooLarge(
+                f"{n} elements exceeds the limit of {MAX_TABLE_ELEMENTS} for lattice tables"
+            )
+        up, down, self._order, self._covers, self.height = _close(names, pairs)
         by_up = {u: i for i, u in enumerate(up)}
         by_down = {d: i for i, d in enumerate(down)}
-        _check_bounds(names, up, down, by_up, by_down)
+        # one lower (upper) cover: the strict down-set (up-set) is principal
+        irr = [i for i, d in enumerate(down) if d ^ 1 << i in by_down]
+        mask = sum(1 << j for j in irr)
+        jd = [d & mask for d in down]
+        self.is_distributive = _classify(names, up, down, by_up, by_down, irr, jd)
 
         self._set_elements(names)
         self._up, self._down, self._by_up, self._by_down = up, down, by_up, by_down
-        full = (1 << n) - 1
-        self.bottom = self.elements[by_up[full]]
-        self.top = self.elements[by_down[full]]
-        # one lower (upper) cover: the strict down-set (up-set) is principal
-        self._irreducibles = tuple(
-            e for e, d in zip(self.elements, down)
-            if e is not self.bottom and (d ^ 1 << e.index) in by_down
-        )
-        self._meet_irreducibles = tuple(
-            e for e, u in zip(self.elements, up)
-            if e is not self.top and (u ^ 1 << e.index) in by_up
-        )
-
-        # Birkhoff: distributive iff x -> jd[x], the irreducibles below x,
-        # preserves joins, and Boolean iff that embedding is onto
-        irr = [j.index for j in self._irreducibles]
-        mask = sum(1 << j for j in irr)
-        jd = [d & mask for d in down]
-        self.is_distributive = all(
-            jd[by_up[up[x] & up[j]]] == jd[x] | jd[j] for x in range(n) for j in irr
-        )
+        el, full = self.elements, (1 << n) - 1
+        self.bottom, self.top = el[by_up[full]], el[by_down[full]]
+        self._irreducibles = tuple(el[j] for j in irr)
+        self._meet_irreducibles = tuple(el[i] for i, u in enumerate(up) if u ^ 1 << i in by_up)
         self.is_boolean = self.is_distributive and n == 1 << len(irr)
         self._complements = None
         if self.is_boolean:
             by_jd = {v: i for i, v in enumerate(jd)}
             self._complements = tuple(by_jd[mask ^ v] for v in jd)
-        self.height = _height(down)
 
     def _set_elements(self, names):
         self.uid = next(_uid_counter)
@@ -258,24 +254,26 @@ class FiniteLattice:
     def join_over(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
         """Per element x, in index order, the index of the join of every v
         with (k, v) in pairs and k <= x: the element whose up-set is the
-        intersection of their up-sets."""
-        up = self._up
+        intersection of their up-sets. One bottom-up pass along the covers:
+        each x meets its own pairs' rows into what it hands on to its upper
+        covers."""
         acc = [(1 << self.n) - 1] * self.n
         for k, v in pairs:
-            row = up[v]
-            for x in _bits(up[k]):
-                acc[x] &= row
+            acc[k] &= self._up[v]
+        for x in self._order:
+            for c in self._covers[x]:
+                acc[c] &= acc[x]
         return tuple(self._by_up[u] for u in acc)
 
     def meet_over(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
         """Per element x, in index order, the index of the meet of every v
-        with (k, v) in pairs and x <= k."""
-        down = self._down
+        with (k, v) in pairs and x <= k: the dual, top-down pass."""
         acc = [(1 << self.n) - 1] * self.n
         for k, v in pairs:
-            row = down[v]
-            for x in _bits(down[k]):
-                acc[x] &= row
+            acc[k] &= self._down[v]
+        for x in reversed(self._order):
+            for c in self._covers[x]:
+                acc[x] &= acc[c]
         return tuple(self._by_down[d] for d in acc)
 
     def meet_irreducibles(self) -> tuple[Element, ...]:
@@ -373,95 +371,99 @@ def _subset_name(worlds, mask):
     return "{" + ",".join(w for k, w in enumerate(worlds) if mask >> k & 1) + "}"
 
 
-def _bits(x: int):
+def _bits(x: int) -> list:
     """The positions of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+    return [k for k, bit in enumerate(bin(x)[:1:-1]) if bit == "1"]
 
 
-def _check_order_size(n):
-    """The element cap, then the limit on explicit orders."""
-    if n == 0:
-        raise NotALattice("a lattice needs at least one element")
-    cap = max_elements()
-    if n > cap:
-        raise LatticeTooLarge(f"{n} elements exceeds the cap of {cap}")
-    if n > MAX_TABLE_ELEMENTS:
-        raise LatticeTooLarge(
-            f"{n} elements exceeds the limit of {MAX_TABLE_ELEMENTS} for lattice tables"
-        )
+def _close(names, pairs):
+    """The up-set and down-set rows of the order that the index pairs
+    generate, a linear extension, each element's upper covers and the
+    height, from one iterative pass of Tarjan's algorithm. Raise NotAPoset
+    on a pair out of range, or on a cycle: the pair named is the lowest
+    element on a cycle and the next-lowest of its component."""
+    n = len(names)
+    adj = [[] for _ in range(n)]
+    for i, k in dict.fromkeys(pairs):
+        if not (0 <= i < n and 0 <= k < n):
+            raise NotAPoset(f"order pair ({i!r}, {k!r}) is out of range for {n} elements")
+        adj[i].append(k)
+    up, covers, depth, done, cycles = [0] * n, [()] * n, [0] * n, [], []
+    # index[v] is v's place on the stack; low[v] is n before v is entered
+    # and again once its component is finished
+    index, low, edges, stack = [-1] * n, [n] * n, [iter(a) for a in adj], []
+    for root in range(n):
+        work = [root] if index[root] < 0 else []
+        while work:
+            v = work[-1]
+            if index[v] < 0:
+                index[v] = low[v] = len(stack)
+                stack.append(v)
+            for w in edges[v]:
+                if index[w] < 0:
+                    work.append(w)
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if low[v] < index[v]:
+                    low[work[-1]] = min(low[work[-1]], low[v])
+                    continue
+                component = stack[index[v]:]
+                del stack[index[v]:]
+                for w in component:
+                    low[w] = n
+                if len(component) > 1:
+                    cycles.append(sorted(component)[:2])
+                    continue
+                # every successor is finished, and it is a cover unless it
+                # lies above another successor (or is v itself, whose row is
+                # still 0)
+                row, above = 1 << v, 0
+                for w in adj[v]:
+                    row |= up[w]
+                    above |= up[w] ^ 1 << w
+                up[v], covers[v] = row, tuple(w for w in adj[v] if not above >> w & 1)
+                done.append(v)
+    if cycles:
+        i, k = min(cycles)
+        raise NotAPoset(f"antisymmetry violated between {names[i]!r} and {names[k]!r}")
+    order, down = done[::-1], [1 << i for i in range(n)]
+    for v in order:
+        for w in covers[v]:
+            down[w] |= down[v]
+            depth[w] = max(depth[w], depth[v] + 1)
+    return up, down, tuple(order), tuple(covers), max(depth)
 
 
-def _check_poset(names, up) -> tuple:
-    """The down-set rows of the order given by its up-set rows, after
-    checking reflexivity, then antisymmetry, then transitivity. Each check
-    reports the first offending pair in row-major order."""
-    for i, u in enumerate(up):
-        if not u >> i & 1:
-            raise NotAPoset(f"order not reflexive at {names[i]!r}")
-    # one pass over the pairs i <= k builds the down-set rows and what each
-    # i reaches in two steps but not in one: transitive iff up(k) lies
-    # inside up(i) whenever i <= k
-    down, missing = [0] * len(up), []
-    for i, u in enumerate(up):
-        bit, reach = 1 << i, 0
-        for k in _bits(u):
-            down[k] |= bit
-            reach |= up[k]
-        missing.append(reach & ~u)
-    for i, (u, d) in enumerate(zip(up, down)):
-        both = u & d ^ 1 << i
-        if both:
-            raise NotAPoset(f"antisymmetry violated between {names[i]!r} and {names[next(_bits(both))]!r}")
-    for i, m in enumerate(missing):
-        if m:
-            raise NotAPoset(f"order not transitive: missing {names[i]!r} <= {names[next(_bits(m))]!r}")
-    return tuple(down)
+def _classify(names, up, down, by_up, by_down, irr, jd):
+    """Whether the order, a lattice, is distributive, decided on the
+    incomparable pairs (x, join-irreducible j): x \\/ j must exist, and
+    jd[x \\/ j] be jd[x] | jd[j]. Without a bottom or some x \\/ j it is no
+    lattice, and the first pair without a join or a meet is named."""
+    full = (1 << len(up)) - 1
+    if full not in by_up:
+        _check_bounds(names, up, down, by_up, by_down)
+    distributive = True
+    for j in irr:
+        uj, dj = up[j], jd[j]
+        for x in _bits(full ^ (uj | down[j])):
+            k = by_up.get(up[x] & uj)
+            if k is None:
+                _check_bounds(names, up, down, by_up, by_down)
+            distributive = distributive and jd[k] == jd[x] | dj
+    return distributive
 
 
 def _check_bounds(names, up, down, by_up, by_down):
     """Raise NotALattice on the first pair, in row order, whose common upper
     bounds (lower bounds) are not a principal up-set (down-set); its join is
     reported before its meet."""
-    for i, (ui, di) in enumerate(zip(up, down)):
-        for j in range(i + 1, len(up)):
-            if (ui & up[j]) not in by_up:
-                kind = "join"
-            elif (di & down[j]) not in by_down:
-                kind = "meet"
-            else:
-                continue
-            raise NotALattice(
-                f"pair ({names[i]!r}, {names[j]!r}) has no {kind}",
-                pair=(names[i], names[j]),
-            )
-
-
-def _height(down) -> int:
-    # Longest chain length measured in covers: by Mirsky's theorem the
-    # longest chain has as many elements as there are rounds of removing
-    # the minimal elements of what is left.
-    left, rounds = (1 << len(down)) - 1, 0
-    while left:
-        left = sum(1 << k for k in _bits(left) if down[k] & left != 1 << k)
-        rounds += 1
-    return rounds - 1
-
-
-def _transitive_closure(n, pairs) -> list:
-    """The up-set rows of the reflexive and transitive closure of the index
-    pairs (Warshall, on rows)."""
-    up = [1 << i for i in range(n)]
-    for i, j in pairs:
-        up[i] |= 1 << j
-    for k in range(n):
-        row, bit = up[k], 1 << k
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= row
-    return up
+    for i, j in itertools.combinations(range(len(up)), 2):
+        for kind, rows, by in (("join", up, by_up), ("meet", down, by_down)):
+            if rows[i] & rows[j] not in by:
+                pair = names[i], names[j]
+                raise NotALattice(f"pair ({pair[0]!r}, {pair[1]!r}) has no {kind}", pair=pair)
 
 
 def build_from_order(labels: Sequence[str], leq_pairs: Iterable[tuple[str, str]]) -> FiniteLattice:
@@ -476,10 +478,7 @@ def build_from_order(labels: Sequence[str], leq_pairs: Iterable[tuple[str, str]]
         if a not in pos or b not in pos:
             raise ForeignElement(f"order pair ({a!r}, {b!r}) uses an unknown label")
         pairs.append((pos[a], pos[b]))
-    # The limits go before any per-element work: the closure alone is n^2
-    # row operations.
-    _check_order_size(len(labels))
-    return FiniteLattice(labels, _transitive_closure(len(labels), pairs))
+    return FiniteLattice(labels, pairs)
 
 
 def powerset_lattice(worlds: Sequence[str]) -> PowersetLattice:

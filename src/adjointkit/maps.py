@@ -10,9 +10,12 @@ order f*(b) is the join of the join-irreducibles j with f(j) <= b, and
 g*(b) the meet of the meet-irreducibles m with b <= g(m); f preserves
 joins iff f(bottom) = bottom and f(x \\/ j) = f(x) \\/ f(j) for every x and
 every join-irreducible j, and meets dually. The lattice's index-level
-`leq_index`, `join_index` and `meet_index` serve both carriers, and its
-`join_over` and `meet_over` build these tables on an explicit order's bit
-rows.
+`leq_index`, `join_index` and `meet_index` serve both carriers. On an
+explicit order, `join_over` builds the table of a map from generators, or
+of a right adjoint, in one bottom-up pass along the covering relation,
+each element taking the rows of its own pairs and what its lower covers
+took; `meet_over` is the dual, top-down pass. Each costs one operation on
+n-bit rows per element, cover and pair.
 
 On a powerset P(W) a join-preserving f is fixed by the relation
 R(w) = f({w}): f(S) = R[S], and f*(S) = {w : R(w) <= S} (Jonsson and

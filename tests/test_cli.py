@@ -106,8 +106,8 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
     # action, fact) pair unless some pair fails and its elements are scanned
     comparisons = []
 
-    def counted_fact_stability(self, converse=False):
-        events.append(("fact-stability", converse))
+    def counted_fact_stability(self, converse=False, limit=None):
+        events.append(("fact-stability", converse, limit))
         owner = type(self.lattice)
         leq = owner.leq_
         calls = []
@@ -118,7 +118,7 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
 
         owner.leq_ = counted_leq
         try:
-            return fact_stability(self, converse)
+            return fact_stability(self, converse, limit)
         finally:
             owner.leq_ = leq
             comparisons.append(len(calls))
@@ -157,8 +157,8 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
     # fails as an equality here, so its witness comes from one rescan of
     # every element in index order
     assert events == [
-        ("no-miracle", False, False), ("fact-stability", False), "axiom pass",
-        ("fact-stability", True), ("no-miracle", False, True), ("no-miracle", True, True),
+        ("no-miracle", False, False), ("fact-stability", False, 1), "axiom pass",
+        ("fact-stability", True, 4), ("no-miracle", False, True), ("no-miracle", True, True),
     ]
     assert rechecks == []
     rows = {a["name"]: (a["ok"], a["detail"]) for a in data["axioms"]}
@@ -182,8 +182,8 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
     assert main(["run", path, "--json", "--full-lattice-axioms"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert events == [
-        ("no-miracle", True, False), ("fact-stability", False), "axiom pass",
-        ("fact-stability", True), ("no-miracle", False, True), ("no-miracle", True, True),
+        ("no-miracle", True, False), ("fact-stability", False, 1), "axiom pass",
+        ("fact-stability", True, 4), ("no-miracle", False, True), ("no-miracle", True, True),
     ]
     row = next(a for a in data["axioms"] if a["name"] == "no-miracle")
     assert (row["ok"], row["detail"]) == (True, "")
@@ -194,8 +194,8 @@ def test_one_axiom_pass_per_run(monkeypatch, capsys, tmp_path):
     assert main(["run", str(public), "--json", "--non-paranoid"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert events == [
-        ("no-miracle", False, False), ("fact-stability", False), "axiom pass",
-        ("fact-stability", True), ("no-miracle", False, True),
+        ("no-miracle", False, False), ("fact-stability", False, 1), "axiom pass",
+        ("fact-stability", True, 4), ("no-miracle", False, True),
     ]
     row = next(a for a in data["axioms"] if a["name"] == "lifted-no-miracle")
     assert (row["ok"], row["detail"]) == (True, "")
@@ -497,14 +497,27 @@ def test_a_closed_stdout_keeps_the_exit_code_and_writes_no_traceback(argv, code)
     assert (proc.returncode, proc.stderr) == (code, b"")
 
 
-def shuffled_poset(text, rng):
-    """The scenario text with the lines of its poset block in random order."""
+def shuffled_poset(text, rng, block=None):
+    """The scenario text with the lines of its poset block, or the given
+    lines in its place, in random order."""
     lines = text.splitlines()
     start = lines.index("poset") + 1
     end = lines.index("end", start)
-    block = lines[start:end]
+    block = lines[start:end] if block is None else block
     rng.shuffle(block)
     return "\n".join(lines[:start] + block + lines[end:]) + "\n"
+
+
+def every_pair_poset(text, rng):
+    """The scenario text with a poset block that lists every comparable pair
+    of its order, not only the covers, a quarter of the lines twice, in
+    random order."""
+    from adjointkit import instantiate, parse_scenario
+
+    lat = instantiate(parse_scenario(text)).model.lattice
+    block = [f"  {a.name} < {b.name}" for a in lat.elements for b in lat.elements
+             if a is not b and lat.leq_(a, b)]
+    return shuffled_poset(text, rng, block + rng.sample(block, len(block) // 4))
 
 
 def coclosure_witness_is_real(text, row):
@@ -522,7 +535,9 @@ def test_shuffled_poset_lines_keep_every_verdict(tmp_path, capsys):
     # An explicit order numbers its elements in the order the poset lines
     # first name them, so a shuffle renumbers the carrier. Verdicts, exit
     # code, carrier stats and axiom flags must not move; a witness, the
-    # first in index order, may, and each one named must be real.
+    # first in index order, may, and each one named must be real. The same
+    # holds when the block lists every comparable pair, with repeats, in
+    # place of the covers, so the build must find the covers among them.
     from adjointkit import instantiate, parse_scenario
 
     gen = perfbench_module("gen")
@@ -532,7 +547,7 @@ def test_shuffled_poset_lines_keep_every_verdict(tmp_path, capsys):
     moved = 0
     for case in grids:
         runs = []
-        for text in (case.text, shuffled_poset(case.text, rng)):
+        for text in (case.text, shuffled_poset(case.text, rng), every_pair_poset(case.text, rng)):
             scn = tmp_path / "grid.scn"
             scn.write_text(text)
             code = main(["run", "--json", str(scn)])
@@ -540,20 +555,21 @@ def test_shuffled_poset_lines_keep_every_verdict(tmp_path, capsys):
             lat = instantiate(parse_scenario(text)).model.lattice
             stats = (lat.n, lat.is_distributive, lat.is_boolean, len(lat.join_irreducibles()),
                      len(lat.meet_irreducibles()), lat.height)
-            runs.append((text, code, report, stats))
-        (text_a, code_a, report_a, stats_a), (text_b, code_b, report_b, stats_b) = runs
-        assert [e.name for e in instantiate(parse_scenario(text_a)).model.lattice.elements] != [
-            e.name for e in instantiate(parse_scenario(text_b)).model.lattice.elements]
-        assert (code_a, report_a["verdicts"], stats_a) == (code_b, report_b["verdicts"], stats_b)
-        for row_a, row_b in zip(report_a["axioms"], report_b["axioms"], strict=True):
-            assert [row_a[k] for k in ("name", "ok", "mandatory")] == [
-                row_b[k] for k in ("name", "ok", "mandatory")]
-            if row_a["detail"] != row_b["detail"]:
-                assert row_a["name"].startswith("coclosure-hypotheses[")
-                moved += 1
-            for text, row in ((text_a, row_a), (text_b, row_b)):
-                if " witness " in row["detail"]:
-                    assert coclosure_witness_is_real(text, row)
+            runs.append((text, code, report, stats, [e.name for e in lat.elements]))
+        text_a, code_a, report_a, stats_a, names_a = runs[0]
+        for text_b, code_b, report_b, stats_b, names_b in runs[1:]:
+            assert names_a != names_b
+            assert (code_a, report_a["verdicts"], stats_a) == (
+                code_b, report_b["verdicts"], stats_b)
+            for row_a, row_b in zip(report_a["axioms"], report_b["axioms"], strict=True):
+                assert [row_a[k] for k in ("name", "ok", "mandatory")] == [
+                    row_b[k] for k in ("name", "ok", "mandatory")]
+                if row_a["detail"] != row_b["detail"]:
+                    assert row_a["name"].startswith("coclosure-hypotheses[")
+                    moved += 1
+                for text, row in ((text_a, row_a), (text_b, row_b)):
+                    if " witness " in row["detail"]:
+                        assert coclosure_witness_is_real(text, row)
     # the shuffles do move witnesses, so the comparison above is not vacuous
     assert moved > 0
 

@@ -171,6 +171,9 @@ def test_kernel_and_fact_stability_match_the_element_scans():
         for converse in (False, True):
             got = alg.fact_stability_report(converse=converse)
             assert got == reference_fact_stability(alg, converse)
+            # a limited report is the full one cut short
+            for limit in (1, 4):
+                assert alg.fact_stability_report(converse, limit) == got[:limit]
             breached[converse] += bool(got)
             stable += not got and bool(alg.facts) and bool(alg.communication_actions)
         for a in alg.actions:

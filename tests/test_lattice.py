@@ -25,8 +25,8 @@ from adjointkit import (
 from adjointkit import lattice as lattice_mod
 from adjointkit.lattice import FiniteLattice
 from conftest import (
-    m3_lattice, n5_lattice, random_chain, random_downset_lattice, random_lattice,
-    random_powerset, table_twin,
+    m3_lattice, n5_lattice, random_bounded_poset, random_chain, random_downset_lattice,
+    random_lattice, random_powerset, table_twin,
 )
 
 
@@ -99,11 +99,14 @@ def test_duplicate_labels_rejected():
         build_from_order(["a", "a"], [])
 
 
-def test_order_rows_must_fit_the_names():
-    for rows in ([0b01], [0b01, 0b110], [0b01, -1]):
-        with pytest.raises(NotAPoset, match="^order must be 2 rows of 2 bits$"):
-            FiniteLattice(["a", "b"], rows)
-    assert FiniteLattice(["a", "b"], [0b11, 0b10]).bottom.name == "a"
+def test_order_pairs_must_fit_the_names():
+    for pair in ((0, 2), (2, 0), (-1, 0), (0, -1)):
+        message = rf"^order pair \({pair[0]}, {pair[1]}\) is out of range for 2 elements$"
+        with pytest.raises(NotAPoset, match=message):
+            FiniteLattice(["a", "b"], [(0, 1), pair])
+    # pairs are closed reflexively and transitively, and duplicates are one
+    lat = FiniteLattice(["a", "b", "c"], [(1, 2), (0, 1), (0, 1), (2, 2)])
+    assert (lat.bottom.name, lat.top.name, lat.height) == ("a", "c", 2)
 
 
 def test_powerset_two_worlds():
@@ -157,7 +160,7 @@ def test_order_cap_is_checked_before_the_closure(monkeypatch):
     def closure(*args):
         raise AssertionError("closure ran on an order over the element cap")
 
-    monkeypatch.setattr(lattice_mod, "_transitive_closure", closure)
+    monkeypatch.setattr(lattice_mod, "_close", closure)
     labels = [f"c{i}" for i in range(600)]
     with pytest.raises(LatticeTooLarge, match="^600 elements exceeds the cap of 256$"):
         build_from_order(labels, zip(labels, labels[1:]))
@@ -193,17 +196,57 @@ def no_allocation(*args, **kwargs):
 
 
 def test_table_limit_is_checked_before_any_allocation(monkeypatch):
-    # the closure builds the first row of build_from_order, and the poset
-    # check the first row of FiniteLattice
+    # the closure builds the first per-element list, for build_from_order
+    # and FiniteLattice alike
     monkeypatch.setenv("ADJOINT_KIT_MAX_LATTICE", "2048")
-    monkeypatch.setattr(lattice_mod, "_transitive_closure", no_allocation)
-    monkeypatch.setattr(lattice_mod, "_check_poset", no_allocation)
+    monkeypatch.setattr(lattice_mod, "_close", no_allocation)
     labels = [f"c{i}" for i in range(lattice_mod.MAX_TABLE_ELEMENTS + 1)]
     message = "^1025 elements exceeds the limit of 1024 for lattice tables$"
     with pytest.raises(LatticeTooLarge, match=message):
         build_from_order(labels, zip(labels, labels[1:]))
     with pytest.raises(LatticeTooLarge, match=message):
         FiniteLattice(labels, None)
+
+
+def grid(a, b):
+    """The product of an a-chain and a b-chain, given by its covers."""
+    labels = [f"g{x}_{y}" for x in range(a) for y in range(b)]
+    pairs = ([(f"g{x}_{y}", f"g{x + 1}_{y}") for x in range(a - 1) for y in range(b)]
+             + [(f"g{x}_{y}", f"g{x}_{y + 1}") for x in range(a) for y in range(b - 1)])
+    return labels, pairs
+
+
+def test_the_largest_explicit_orders_build(monkeypatch):
+    # at the limit: a chain, where every pair is comparable; M_1022, whose
+    # atoms make a million incomparable (element, irreducible) pairs; and a
+    # 32 x 32 grid
+    monkeypatch.setenv("ADJOINT_KIT_MAX_LATTICE", "1024")
+    n = lattice_mod.MAX_TABLE_ELEMENTS
+    labels = [f"c{i}" for i in range(n)]
+    chain = build_from_order(labels, zip(labels, labels[1:]))
+    assert (chain.height, chain.is_distributive, chain.is_boolean) == (n - 1, True, False)
+    assert [e.name for e in chain.join_irreducibles()] == labels[1:]
+    assert [e.name for e in chain.meet_irreducibles()] == labels[:-1]
+    assert (chain.bottom.name, chain.top.name) == ("c0", f"c{n - 1}")
+
+    labels, pairs = m_k(n - 2)
+    mk = build_from_order(labels, pairs)
+    assert (mk.n, mk.height, mk.is_distributive, mk.is_boolean) == (n, 2, False, False)
+    assert [e.name for e in mk.join_irreducibles()] == labels[1:-1]
+    assert [e.name for e in mk.meet_irreducibles()] == labels[1:-1]
+    assert (mk.bottom.name, mk.top.name) == ("bot", "top")
+
+    labels, pairs = grid(32, 32)
+    g = build_from_order(labels, pairs)
+    assert (g.n, g.height, g.is_distributive, g.is_boolean) == (n, 62, True, False)
+    side = range(1, 32)
+    assert {e.name for e in g.join_irreducibles()} == (
+        {f"g{x}_0" for x in side} | {f"g0_{y}" for y in side})
+    assert {e.name for e in g.meet_irreducibles()} == (
+        {f"g{x - 1}_31" for x in side} | {f"g31_{y - 1}" for y in side})
+    assert (g.bottom.name, g.top.name) == ("g0_0", "g31_31")
+    a, b = g.element("g3_17"), g.element("g20_4")
+    assert (g.join2(a, b).name, g.meet2(a, b).name) == ("g20_17", "g3_4")
 
 
 def holds_a_table(lat):
@@ -275,6 +318,23 @@ def test_empty_join_is_bottom_empty_meet_is_top(coin2):
 
 def test_binary_join_in_powerset(coin2):
     assert coin2.join([coin2.subset(["h"]), coin2.subset(["t"])]) == coin2.top
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_join_over_and_meet_over_match_brute_force(seed):
+    rng = random.Random(700 + seed)
+    for _ in range(20):
+        lat = rng.choice([random_chain, random_downset_lattice, random_bounded_poset,
+                          lambda rng: table_twin(random_powerset(rng, 4)),
+                          lambda rng: rng.choice([m3_lattice, n5_lattice])()])(rng)
+        assert lat.worlds is None
+        el = lat.elements
+        pairs = [(rng.randrange(lat.n), rng.randrange(lat.n))
+                 for _ in range(rng.randint(0, 2 * lat.n))]
+        joins = [lat.join(el[v] for k, v in pairs if lat.leq_(el[k], x)).index for x in el]
+        meets = [lat.meet(el[v] for k, v in pairs if lat.leq_(x, el[k])).index for x in el]
+        assert lat.join_over(pairs) == tuple(joins)
+        assert lat.meet_over(pairs) == tuple(meets)
 
 
 def test_foreign_element_rejected(coin2, coin3):
@@ -553,7 +613,9 @@ def outcome(build, *args):
         return (type(err), str(err), getattr(err, "pair", None))
 
 
-ERROR_KINDS = ("not reflexive", "antisymmetry", "not transitive", "no join", "no meet")
+# an explicit order closes its pairs, so "not reflexive" and "not
+# transitive" are no longer errors
+ERROR_KINDS = ("antisymmetry", "no join", "no meet")
 LATTICE_KINDS = ("boolean", "distributive", "plain lattice")
 
 
@@ -566,7 +628,9 @@ def kind_of(result):
 
 
 def closed(leq):
-    leq = [list(row) for row in leq]
+    """The reflexive and transitive closure of a square table of bools
+    (Warshall)."""
+    leq = [[b or i == j for j, b in enumerate(row)] for i, row in enumerate(leq)]
     for k in range(len(leq)):
         for i in range(len(leq)):
             if leq[i][k]:
@@ -574,9 +638,12 @@ def closed(leq):
     return leq
 
 
-def bit_rows(leq):
-    """The up-set rows of a square table of bools."""
-    return [sum(1 << j for j, b in enumerate(row) if b) for row in leq]
+def index_pairs(rng, leq):
+    """The pairs (i, j) with leq[i][j], shuffled, a quarter of them twice."""
+    pairs = [(i, j) for i, row in enumerate(leq) for j, b in enumerate(row) if b]
+    pairs += rng.sample(pairs, len(pairs) // 4)
+    rng.shuffle(pairs)
+    return pairs
 
 
 def random_order_table(rng):
@@ -634,9 +701,10 @@ def test_bulk_analysis_matches_the_pairwise_reference():
     kinds = Counter()
     for _ in range(500):
         names, leq = random_order_table(rng)
-        expected = outcome(reference_analysis, names, leq)
-        got = outcome(lambda: analysis(FiniteLattice(names, bit_rows(leq))))
-        assert got == expected, (names, leq)
+        pairs = index_pairs(rng, leq)
+        expected = outcome(reference_analysis, names, closed(leq))
+        got = outcome(lambda: analysis(FiniteLattice(names, pairs)))
+        assert got == expected, (names, pairs)
         kinds[kind_of(expected)] += 1
     for _ in range(300):
         labels, pairs = random_order_pairs(rng)
