@@ -322,7 +322,8 @@ def test_depth_flag_is_used_as_given(capsys):
 # -- golden outputs ----------------------------------------------------------------
 
 # Golden copies of the shipped scenarios' output with the timings elided. A
-# copy for --no-kernel-shortcut exists only where that output differs.
+# copy for a flag (run-<stem>.<flag>.json) exists only where that output
+# differs.
 GOLDEN = Path(__file__).parent / "golden"
 SHIPPED = sorted(
     p.name for p in (resources.files("adjointkit") / "scenarios").iterdir()
@@ -330,7 +331,7 @@ SHIPPED = sorted(
 )
 
 
-@pytest.mark.parametrize("flags", [[], ["--no-kernel-shortcut"]])
+@pytest.mark.parametrize("flags", [[], ["--no-kernel-shortcut"], ["--non-paranoid"]])
 @pytest.mark.parametrize("scenario", SHIPPED)
 def test_run_json_matches_the_golden_copy(scenario, flags, monkeypatch, capsys):
     # run from the scenario directory, as the file name alone
@@ -341,10 +342,21 @@ def test_run_json_matches_the_golden_copy(scenario, flags, monkeypatch, capsys):
     assert elided == 1
     assert code == json.loads(out)["exit_code"]
     stem = scenario.removesuffix(".scn")
-    golden = GOLDEN / f"run-{stem}.no-kernel-shortcut.json"
-    if not (flags and golden.exists()):
+    golden = GOLDEN / f"run-{stem}.{flags[0].lstrip('-')}.json" if flags else None
+    if not (golden and golden.exists()):
         golden = GOLDEN / f"run-{stem}.json"
     assert out == golden.read_text()
+    if flags == ["--non-paranoid"] and stem in ("coin-honest", "coin-lying-model"):
+        # lifted no-miracle fails as an equality on both
+        assert code == 2 and "lifted-no-miracle: agent A, word <a>, at {t0}" in out
+
+
+def test_validate_text_matches_the_golden_copy(monkeypatch, capsys):
+    monkeypatch.chdir(Path(fixture_path("coin-lying-model.scn")).parent)
+    assert main(["validate", "coin-lying-model.scn"]) == 0
+    out, elided = re.subn(r"(?m)^  timings: .*$", "  timings: elided", capsys.readouterr().out)
+    assert elided == 1
+    assert out == (GOLDEN / "validate-coin-lying-model.txt").read_text()
 
 
 @pytest.mark.parametrize("flags", [[], ["--no-kernel-shortcut"]])
