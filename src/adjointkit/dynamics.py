@@ -21,11 +21,15 @@ from .errors import (
     NoMiracleViolation,
     UnknownAction,
     UnknownAgent,
+    WordLengthExceeded,
 )
 from .epistemic import MAMA
 from .lattice import Element
 from . import maps
 from .maps import AdjointPair, LatticeMap
+
+# Most words an action quantale may hold; the system checks grow with its square.
+MAX_WORDS = 1024
 
 
 class ActionLabel:
@@ -161,6 +165,43 @@ class DynamicAlgebra:
                     rhs = h_seen(f(l))
                     if (lhs != rhs) if equality else not lat.leq_(lhs, rhs):
                         yield NoMiracleViolation(agent, a, l, lhs, rhs)
+
+    def lifted_no_miracle_witness(self, equality: bool = False) -> str | None:
+        """The first witness against lifted no-miracle (its equality form with
+        equality), or None where it holds. The scan above decides it on the
+        join-irreducibles; a failure's witness is the first failing agent and
+        letter at the first failing element of a scan of every element."""
+        if next(self.no_miracle_violations(equality=equality), None) is None:
+            return None
+        v = next(self.no_miracle_violations(full_lattice=True, equality=equality))
+        return f"agent {v.agent}, word <{v.action}>, at {v.element.name}"
+
+
+def check_word_cap(generators: int, bound: int) -> None:
+    """Raise WordLengthExceeded where the words of length at most bound over
+    that many generators number more than MAX_WORDS, counted without
+    listing them."""
+    count = layer = 1
+    for _ in range(bound):
+        layer *= generators
+        count += layer
+        if count > MAX_WORDS:
+            raise WordLengthExceeded(
+                f"{generators} generators at word bound {bound} give more than {MAX_WORDS} words"
+            )
+
+
+def system_laws(agents, non_paranoid: bool = False) -> tuple[str, ...]:
+    """The epistemic-system laws that hold by definition for letterwise
+    lifts of product update (see quantale), in report order; the free-monoid
+    laws of an action quantale come first. lifted-no-miracle, the one law
+    that can fail, comes after them."""
+    unit, compose = (("unit-equality", "compose-equality") if non_paranoid
+                     else ("unit-inclusion", "compose-lax"))
+    return ("compose-associative", "unit-law", "compose-distributes-over-union",
+            *(f"{law}[{agent}]" for agent in agents
+              for law in ("lift-join-preserving", unit, compose)),
+            "act-unit", "act-join-law", "act-composition")
 
 
 def build_dynamic_algebra(

@@ -10,13 +10,13 @@ Agent appearance lifts to words letterwise and to sets pointwise, and the
 action h(l, q) joins, over the words of q, the letters' update maps applied
 in turn (product update: Baltag, Moss and Solecki, TARK 1998). On that view
 every system law but one holds by definition, and check_epistemic_system
-emits each as a constant ok row under its name: compose-associative,
-unit-law and compose-distributes-over-union are facts of the free monoid;
-lift-join-preserving[A] and act-join-law compare two folds of the same
-word images; a letterwise lift is a monoid homomorphism, so its unit and
-composition laws (unit-inclusion/unit-equality[A], compose-lax/
-compose-equality[A]) hold; act-unit and act-composition restate how act
-applies a word.
+emits each as a constant ok row, as dynamics.system_laws names and orders
+them: compose-associative, unit-law and compose-distributes-over-union are
+facts of the free monoid; lift-join-preserving[A] and act-join-law compare
+two folds of the same word images; a letterwise lift is a monoid
+homomorphism, so its unit and composition laws (unit-inclusion/
+unit-equality[A], compose-lax/compose-equality[A]) hold; act-unit and
+act-composition restate how act applies a word.
 
 The one law that can fail is lifted no-miracle, f_A h(l, w) <= h(f_A(l),
 f'_A(w)), or its equality form. By induction on the word, with a' and w'
@@ -39,15 +39,12 @@ from bisect import bisect_right
 from itertools import product
 
 from .errors import GeneratorMismatch, NotJoinPreserving, UnknownAction, WordLengthExceeded
-from .dynamics import DynamicAlgebra
+from .dynamics import DynamicAlgebra, check_word_cap, system_laws
 from .lattice import Element
 from . import maps
 
 Word = tuple[str, ...]
 QElement = frozenset  # frozenset[Word]
-
-# Most words a quantale may hold; the system checks grow with its square.
-MAX_WORDS = 1024
 
 
 def fmt_word(w: Word) -> str:
@@ -69,15 +66,7 @@ class ActionQuantale:
             raise UnknownAction("a quantale needs at least one generator action")
         if max_word_length < 1:
             raise WordLengthExceeded("max_word_length must be at least 1")
-        count = layer = 1
-        for _ in range(max_word_length):
-            layer *= len(gens)
-            count += layer
-            if count > MAX_WORDS:
-                raise WordLengthExceeded(
-                    f"{len(gens)} generators at word bound {max_word_length} give "
-                    f"more than {MAX_WORDS} words"
-                )
+        check_word_cap(len(gens), max_word_length)
         self.generators = gens
         self.max_word_length = max_word_length
 
@@ -224,8 +213,7 @@ def check_quantale_laws(q: ActionQuantale) -> QuantaleReport:
     ActionQuantale can break these laws on composable words, and a unit
     test checks them on every composable word triple.
     """
-    names = ("compose-associative", "unit-law", "compose-distributes-over-union")
-    return QuantaleReport(tuple(LawCheck(name, True) for name in names))
+    return QuantaleReport(tuple(LawCheck(name, True) for name in system_laws(())[:3]))
 
 
 def check_epistemic_quantale(
@@ -341,51 +329,15 @@ def binary_to_indexed(view: EpistemicSystemView) -> DynamicAlgebra:
     )
 
 
-def lifted_no_miracle_witness(alg: DynamicAlgebra, equality: bool = False) -> str | None:
-    """The first witness against lifted no-miracle (its equality form with
-    equality), or None where it holds: the algebra's no-miracle scan
-    decides it on the join-irreducibles, and a failure takes its witness
-    from a scan of every element, the first failing agent and letter at its
-    first failing element in index order. Letters go in alg.actions order,
-    the order of the one-letter words of an ActionQuantale over them."""
-    if next(alg.no_miracle_violations(equality=equality), None) is None:
-        return None
-    v = next(alg.no_miracle_violations(full_lattice=True, equality=equality))
-    return f"agent {v.agent}, word {fmt_word((v.action,))}, at {v.element.name}"
-
-
-def system_report(q: ActionQuantale, agents, lax: str | None, equal: str | None,
-                  non_paranoid: bool = False) -> QuantaleReport:
-    """The epistemic-system rows, given lifted no-miracle's first lax and
-    equality witnesses (None where it holds); every other row is a constant
-    ok row. The rows, in order: those of check_quantale_laws; per agent,
-    lift-join-preserving and the lift's unit and composition laws;
-    act-unit, h(l, 1) = l; act-join-law, h(l, 0) = bottom and
-    h(l, p \\/ p') = h(l, p) \\/ h(l, p'); act-composition,
-    h(l, w.v) = h(h(l, w), v); lifted-no-miracle. A lax report carries the
-    non_paranoid report as its `equalities`."""
-    laws = check_quantale_laws(q).checks
-
-    def report(unit, compose, wit, equalities=None):
-        lifts = (LawCheck(f"{name}[{agent}]", True) for agent in agents
-                 for name in ("lift-join-preserving", unit, compose))
-        module = (LawCheck(name, True) for name in ("act-unit", "act-join-law", "act-composition"))
-        no_miracle = LawCheck("lifted-no-miracle", wit is None, wit)
-        return QuantaleReport((*laws, *lifts, *module, no_miracle), equalities)
-
-    equalities = report("unit-equality", "compose-equality", equal)
-    if non_paranoid:
-        return equalities
-    return report("unit-inclusion", "compose-lax", lax, equalities)
-
-
 def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False) -> QuantaleReport:
     """Module laws of the epistemic system plus the epistemic-quantale laws
-    of the letterwise lifts, as system_report lists them. A full pass
-    certifies the pair. Only lifted no-miracle (an equality when
-    non_paranoid) can fail on the view (see the module docstring); deciding
-    it on the letters needs join-preserving update and appearance maps, and
-    others raise NotJoinPreserving."""
+    of the letterwise lifts: the constant ok rows of dynamics.system_laws,
+    then lifted-no-miracle (an equality when non_paranoid), the only row
+    that can fail on the view (see the module docstring). A full pass
+    certifies the pair. A lax report carries the non_paranoid report as
+    its `equalities`. Deciding lifted no-miracle on the letters needs
+    join-preserving update and appearance maps, and others raise
+    NotJoinPreserving."""
     alg = view.algebra
     agents = alg.mama.agents
     for name, m in [*((f"upd[{a}]", alg.update_map(a)) for a in alg.actions),
@@ -394,7 +346,14 @@ def check_epistemic_system(view: EpistemicSystemView, non_paranoid: bool = False
             raise NotJoinPreserving(
                 f"the epistemic-system check needs join-preserving maps; {name} is not"
             )
-    equal = lifted_no_miracle_witness(alg, equality=True)
+
+    def report(equality, wit, equalities=None):
+        laws = (LawCheck(name, True) for name in system_laws(agents, equality))
+        return QuantaleReport((*laws, LawCheck("lifted-no-miracle", wit is None, wit)), equalities)
+
+    equal = alg.lifted_no_miracle_witness(equality=True)
+    equalities = report(True, equal)
+    if non_paranoid:
+        return equalities
     # every lax failure is also an equality failure
-    lax = None if non_paranoid or equal is None else lifted_no_miracle_witness(alg)
-    return system_report(view.quantale, agents, lax, equal, non_paranoid)
+    return report(False, equal and alg.lifted_no_miracle_witness(), equalities)

@@ -412,7 +412,7 @@ MAX_PROOF_DEPTH = 200
 
 
 class _TermParser:
-    """Recursive descent; each parse_* method returns (term, depth)."""
+    """Recursive descent over the tokens of one term or entailment."""
 
     def __init__(self, text: str, line: int = 1, column_offset: int = 0):
         self.line = line
@@ -448,42 +448,36 @@ class _TermParser:
         self.nesting -= 1
         return out
 
-    def above(self, depth: int, column: int) -> int:
-        """The depth of an operator over operands at most depth deep,
-        failing at its column past MAX_TERM_DEPTH."""
-        if depth == MAX_TERM_DEPTH:
+    def within(self, t: Term, column: int) -> Term:
+        """The operator node t, failing at its column past MAX_TERM_DEPTH."""
+        if t.term_depth > MAX_TERM_DEPTH:
             self.fail(f"term nested more than {MAX_TERM_DEPTH} levels deep", column=column)
-        return depth + 1
+        return t
 
     # grammar
 
-    def parse_term(self) -> tuple[Term, int]:
-        t, depth = self.parse_and()
+    def parse_term(self) -> Term:
+        t = self.parse_and()
         while self.peek()[1] == "\\/":
             column = self.next()[2]
-            right, right_depth = self.parse_and()
-            t, depth = Or(t, right), self.above(max(depth, right_depth), column)
-        return t, depth
+            t = self.within(Or(t, self.parse_and()), column)
+        return t
 
-    def parse_and(self) -> tuple[Term, int]:
-        t, depth = self.parse_unary()
+    def parse_and(self) -> Term:
+        t = self.parse_unary()
         while self.peek()[1] == "/\\":
             column = self.next()[2]
-            right, right_depth = self.parse_unary()
-            t, depth = And(t, right), self.above(max(depth, right_depth), column)
-        return t, depth
+            t = self.within(And(t, self.parse_unary()), column)
+        return t
 
-    def parse_unary(self) -> tuple[Term, int]:
+    def parse_unary(self) -> Term:
         if self.peek()[1] == "~":
             column = self.next()[2]
-            if self.peek()[1] == "(":
-                arg, depth = self.parse_unary()
-            else:
-                arg, depth = self.nested(self.parse_unary)
-            return Not(arg), self.above(depth, column)
+            arg = self.parse_unary() if self.peek()[1] == "(" else self.nested(self.parse_unary)
+            return self.within(Not(arg), column)
         return self.parse_primary()
 
-    def parse_primary(self) -> tuple[Term, int]:
+    def parse_primary(self) -> Term:
         kind, head, column = self.peek()
         if head == "(":
             self.next()
@@ -494,15 +488,14 @@ class _TermParser:
             self.fail("expected a term", expected="name, '~' or '('")
         self.next()
         if head == "bot":
-            return Bot(), 0
+            return Bot()
         if head == "top":
-            return Top(), 0
+            return Top()
         if self.peek()[1] == "[":
             if head in _HEADS:
-                t, depth = self._parse_modal(_HEADS[head])
-                return t, self.above(depth, column)
+                return self.within(self._parse_modal(_HEADS[head]), column)
             raise ParseError(self.line, column, f"unknown operator {head!r}")
-        return Atom(head), 0
+        return Atom(head)
 
     def _parse_name(self, what: str = "a name") -> str:
         kind, text, column = self.next()
@@ -522,9 +515,8 @@ class _TermParser:
             return ActApp(agent, inner)
         return ActName(name)
 
-    def _parse_modal(self, cls) -> tuple[Term, int]:
-        """The bracketed operator cls after its keyword, and the depth of
-        its argument."""
+    def _parse_modal(self, cls) -> Term:
+        """The bracketed operator cls after its keyword."""
         self.expect("[")
         if cls is CK:
             agents = [self._parse_name()]
@@ -545,14 +537,14 @@ class _TermParser:
             label = self._parse_name()
         self.expect("]")
         self.expect("(")
-        arg, arg_depth = self.nested(self.parse_term)
+        arg = self.nested(self.parse_term)
         self.expect(")")
-        return (CK(label, arg, depth) if cls is CK else cls(label, arg)), arg_depth
+        return CK(label, arg, depth) if cls is CK else cls(label, arg)
 
     def parse_entailment(self) -> Sequent:
-        lhs, _ = self.parse_term()
+        lhs = self.parse_term()
         self.expect("|=")
-        rhs, _ = self.parse_term()
+        rhs = self.parse_term()
         return Sequent(lhs, rhs)
 
     def finish(self):
@@ -563,7 +555,7 @@ class _TermParser:
 
 def parse_term(text: str, line: int = 1, column_offset: int = 0) -> Term:
     p = _TermParser(text, line, column_offset)
-    t, _ = p.parse_term()
+    t = p.parse_term()
     p.finish()
     return t
 

@@ -234,13 +234,18 @@ def test_every_built_adjoint_pair_is_an_adjunction():
             assert maps.verify_adjunction(pair.left, pair.right) is None, name
 
 
-def test_word_bound_over_the_cap_exits_two(monkeypatch, capsys):
-    def no_words(self):
-        raise AssertionError("words() called before the cap was checked")
-
-    monkeypatch.setattr(quantale.ActionQuantale, "words", no_words)
-    assert main(["validate", fixture_path("coin-lying-model.scn"), "--word-bound", "64"]) == 2
-    assert "WordLengthExceeded" in capsys.readouterr().err
+def test_word_bound_over_the_cap_exits_two(capsys):
+    # two actions: 1,023 words at bound 9, 2,047 at bound 10, past the cap
+    # of 1,024, with the message an ActionQuantale of that bound raises
+    path = fixture_path("coin-lying-model.scn")
+    assert main(["validate", path, "--word-bound", "9"]) == 0
+    capsys.readouterr()
+    assert main(["validate", path, "--word-bound", "10"]) == 2
+    message = "2 generators at word bound 10 give more than 1024 words"
+    assert capsys.readouterr().err == f"error: WordLengthExceeded: {message}\n"
+    with pytest.raises(adjointkit.WordLengthExceeded) as err:
+        quantale.ActionQuantale(("a", "abar"), 10)
+    assert str(err.value) == message
 
 
 def test_json_and_human_verdicts_agree(capsys):
@@ -462,19 +467,21 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 # What a command must not import beyond dataclasses, which none imports:
-# derivation only runs for a prove query, quantale only for declared actions.
+# quantale, which the axiom pass does not need, and derivation where no
+# prove query runs.
 NOT_IMPORTED = {
+    **{name: {"adjointkit.quantale"} for name in SHIPPED},
     "muddy-3.scn": {"adjointkit.derivation", "adjointkit.quantale"},
-    "coin-lying-model.scn": {"adjointkit.derivation"},
+    "coin-lying-model.scn": {"adjointkit.derivation", "adjointkit.quantale"},
 }
 
 
-@pytest.mark.parametrize("argv", POWERSET_COMMANDS[:-1], ids=" ".join)
+@pytest.mark.parametrize("argv", POWERSET_COMMANDS, ids=" ".join)
 def test_shipped_commands_import_only_what_they_run(argv):
     code, modules = _run_fresh(IMPORT_PROBE, json.dumps(argv))
     assert code == (2 if "broken-miracle.scn" in argv else 0)
     scenario = next(a for a in argv if a.endswith(".scn"))
-    assert {"dataclasses", *NOT_IMPORTED.get(scenario, ())}.isdisjoint(modules)
+    assert {"dataclasses", *NOT_IMPORTED[scenario]}.isdisjoint(modules)
 
 
 def test_the_package_resolves_every_traced_module_on_first_access():

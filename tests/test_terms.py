@@ -106,8 +106,9 @@ def test_parse_error_positions():
     assert err.value.expected == "')'"
 
 
-@pytest.mark.parametrize("head, tail", [("(", ")"), ("~", ""), ("f[A](", ")"),
-                                        ("after[a](", ")"), ("CK[A,B:3](", ")")])
+@pytest.mark.parametrize("head, tail", [("(", ")"), ("~", ""), ("~(", ")"), ("f[A](", ")"),
+                                        ("upd[a](", ")"), ("after[a](", ")"),
+                                        ("CK[A,B:3](", ")")])
 def test_term_nesting_limit(head, tail):
     """The deepest term the grammar accepts still evaluates, renders and is
     searched at the default depth; one level more is a located ParseError."""
@@ -129,7 +130,7 @@ def test_term_nesting_limit(head, tail):
 
 
 @pytest.mark.parametrize("op", ["\\/", "/\\"])
-@pytest.mark.parametrize("nesting", [0, 40])
+@pytest.mark.parametrize("nesting", [0, 40, 99, 100])
 def test_term_depth_limit_counts_chains(op, nesting):
     """A chain of binary operators counts against the same limit as
     nesting, one level an operator: the deepest chain still evaluates,
