@@ -12,6 +12,7 @@ non-distributive territory is covered too).
 from __future__ import annotations
 
 import importlib
+import json
 import random
 import sys
 from importlib import resources
@@ -152,6 +153,20 @@ def scenario_texts(dynamic_seeds=(), epistemic_seeds=()):
         for seed in epistemic_seeds:
             out += [(f"{c.name}@{seed}", c.text) for c in gen.epistemic_cases(random.Random(seed))]
     return out
+
+
+ERROR_REPROS = json.loads(
+    (Path(__file__).resolve().parent / "error_repros.json").read_text(encoding="utf-8"))
+
+
+def repro_text(repro: dict | str) -> str:
+    """The scenario text of an entry of error_repros.json, or of the entry
+    with that id. Each entry holds the text as a list of lines, the exit
+    code of `run`, `run --json` and `validate` on it, and the class and
+    message of the error that parse_scenario or instantiate raises."""
+    if isinstance(repro, str):
+        (repro,) = [r for r in ERROR_REPROS if r["id"] == repro]
+    return "\n".join(repro["lines"]) + "\n"
 
 
 def built_models(texts):

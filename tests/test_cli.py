@@ -18,7 +18,7 @@ from adjointkit.cli import main
 from adjointkit.derivation import KERNEL_DISCHARGE, ORDER_AXIOM, ProofNode
 from adjointkit import terms as T
 from adjointkit.terms import parse_entailment
-from conftest import built_models, perfbench_module, scenario_texts
+from conftest import ERROR_REPROS, built_models, perfbench_module, repro_text, scenario_texts
 
 
 def fixture_path(name: str) -> str:
@@ -649,9 +649,22 @@ def test_query_error_is_contained_per_query(tmp_path, capsys):
     assert "q2 [check]: ok" in out
 
 
+@pytest.mark.parametrize("repro", ERROR_REPROS, ids=lambda r: r["id"])
+def test_error_repro_exit_code(repro, tmp_path, capsys):
+    """run, run --json and validate exit with each error repro's code: 3
+    for a parse or resolution error, printed as such, and 2 for a build
+    error."""
+    scn = tmp_path / "repro.scn"
+    scn.write_text(repro_text(repro))
+    for argv in (["run", str(scn)], ["run", str(scn), "--json"], ["validate", str(scn)]):
+        assert main(argv) == repro["exit"], argv
+        if repro["exit"] == 3:
+            assert capsys.readouterr().err == f"error: {repro['message']}\n"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
-    bad.write_text("version 1\nscenario x\nmode semantic\nworlds w\nagnt A\n")
+    bad.write_text(repro_text("unknown-declaration"))
     assert main(["run", str(bad)]) == 3
 
 
@@ -659,17 +672,18 @@ def test_a_chain_past_the_term_depth_limit_exits_three(tmp_path, capsys):
     # a flat chain is parsed by a loop, so only the depth limit keeps it out
     # of the recursive resolver and evaluator
     chain = " \\/ ".join(["H"] * 1500)
+    text = repro_text("chain-past-the-depth-limit")
+    assert text == Path(fixture_path("coin-lying-model.scn")).read_text() + (
+        f"query zz check {chain} |= H\n")
     scn = tmp_path / "chain.scn"
-    scn.write_text(Path(fixture_path("coin-lying-model.scn")).read_text()
-                   + f"query zz check {chain} |= H\n")
+    scn.write_text(text)
     assert main(["run", str(scn)]) == 3
     assert "nested more than 100 levels deep" in capsys.readouterr().err
 
 
 def test_evaluate_in_a_symbolic_scenario_exits_three(tmp_path, capsys):
     scn = tmp_path / "sym.scn"
-    scn.write_text("version 1\nscenario x\nmode symbolic\nworlds h\nprop H = h\n"
-                   "query e1 evaluate H\n")
+    scn.write_text(repro_text("evaluate-in-symbolic-cli"))
     assert main(["run", str(scn)]) == 3
     assert "evaluate needs a semantic scenario" in capsys.readouterr().err
 

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+import adjointkit
 from adjointkit import (
     KernelMismatch,
     NoMiracleViolation,
@@ -17,6 +18,7 @@ from adjointkit import (
 from adjointkit.scenario import ActionDecl, AgentDecl, Query, ScenarioDoc
 from adjointkit import terms as T
 from adjointkit.terms import Atom, Or
+from conftest import ERROR_REPROS, repro_text
 
 
 def fixture_text(name: str) -> str:
@@ -43,8 +45,18 @@ def test_coin_honest_parses():
     assert doc.facts == ("H", "T")
 
 
+@pytest.mark.parametrize("repro", ERROR_REPROS, ids=lambda r: r["id"])
+def test_error_repro_raises_its_error_and_message(repro):
+    """Each checked-in error repro raises, from parse_scenario or from
+    instantiate, its error class with its message, location included."""
+    with pytest.raises(getattr(adjointkit, repro["error"])) as err:
+        instantiate(parse_scenario(repro_text(repro)))
+    assert type(err.value).__name__ == repro["error"]
+    assert str(err.value) == repro["message"]
+
+
 def test_typo_reports_line_and_column():
-    text = fixture_text("coin-honest.scn").replace("agent A", "agnt A", 1)
+    text = repro_text("typo-agent")
     with pytest.raises(ParseError) as err:
         parse_scenario(text)
     assert err.value.line == 11
@@ -55,15 +67,7 @@ def test_typo_reports_line_and_column():
 
 
 def test_term_error_location_indexes_a_real_character():
-    text = "\n".join(
-        [
-            "version 1",
-            "scenario t",
-            "mode semantic",
-            "worlds w",
-            "prop p = w \\/ ||",
-        ]
-    )
+    text = repro_text("bad-character-in-prop")
     with pytest.raises(ParseError) as err:
         parse_scenario(text)
     lines = text.splitlines()
@@ -72,47 +76,41 @@ def test_term_error_location_indexes_a_real_character():
 
 
 def test_prove_depth_below_one_is_a_located_parse_error():
-    base = "version 1\nscenario d\nmode symbolic\nworlds w\nprop H = w\n"
+    text = repro_text("prove-depth-below-one")
     with pytest.raises(ParseError) as err:
-        parse_scenario(base + "query p1 prove H |= H depth 0\n")
+        parse_scenario(text)
     assert (err.value.line, err.value.column) == (6, 29)
     assert "depth must be at least 1" in str(err.value)
-    assert parse_scenario(base + "query p1 prove H |= H depth 1\n").queries[0].depth == 1
+    assert parse_scenario(text.replace("depth 0", "depth 1")).queries[0].depth == 1
 
 
 def test_prove_depth_above_the_limit_is_a_located_parse_error():
-    base = "version 1\nscenario d\nmode symbolic\nworlds w\nprop H = w\n"
+    text = repro_text("prove-depth-above-the-limit")
     limit = T.MAX_PROOF_DEPTH
+    assert f"depth {limit + 1}\n" in text
     with pytest.raises(ParseError) as err:
-        parse_scenario(base + f"query p1 prove H |= H depth {limit + 1}\n")
+        parse_scenario(text)
     assert (err.value.line, err.value.column) == (6, 29)
     assert f"depth must be at most {limit}" in str(err.value)
-    assert parse_scenario(base + f"query p1 prove H |= H depth {limit}\n").queries[0].depth == limit
+    text = text.replace(f"depth {limit + 1}", f"depth {limit}")
+    assert parse_scenario(text).queries[0].depth == limit
 
 
 def test_undeclared_action_in_query():
-    text = fixture_text("coin-honest.scn").replace(
-        "query q4 check H |= after[a](fi[A](H))",
-        "query q4 check H |= after[b](fi[A](H))",
-    )
     with pytest.raises(ResolutionError) as err:
-        parse_scenario(text)
+        parse_scenario(repro_text("undeclared-action-in-query"))
     assert "'b'" in str(err.value)
 
 
 def test_version_header_required():
     with pytest.raises(ParseError):
-        parse_scenario("scenario x\nmode semantic\nworlds w\n")
+        parse_scenario(repro_text("no-version-header"))
 
 
 def test_mode_query_compatibility():
-    base = "version 1\nscenario x\nmode {mode}\nworlds w\nprop p = w\n"
-    with pytest.raises(ResolutionError):
-        parse_scenario(base.format(mode="symbolic") + "query q1 check p |= p\n")
-    with pytest.raises(ResolutionError):
-        parse_scenario(base.format(mode="semantic") + "query q1 prove p |= p\n")
-    with pytest.raises(ResolutionError):
-        parse_scenario(base.format(mode="symbolic") + "query q1 evaluate p\n")
+    for repro in ("check-in-symbolic", "prove-in-semantic", "evaluate-in-symbolic"):
+        with pytest.raises(ResolutionError):
+            parse_scenario(repro_text(repro))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -315,7 +313,6 @@ def test_instantiate_broken_miracle_raises():
 
 
 def test_declared_kernel_must_be_realized():
-    text = fixture_text("coin-honest.scn").replace("kernel T", "kernel T H")
     with pytest.raises(KernelMismatch, match=r"^action 'a': declared kernel atoms not "
                        r"annihilated: \{h0,h1\}$"):
-        instantiate(parse_scenario(text))
+        instantiate(parse_scenario(repro_text("kernel-not-annihilated")))

@@ -17,7 +17,11 @@ The list:
     a shipped scenario (an error where the scenario has no model);
   - `run --json` and `validate --non-paranoid` of every scenario that
     perfbench/run.py's `build_ops` generates for SEEDS of each in-process
-    workload.
+    workload;
+  - `run`, `run --json` and `validate` of every parse, resolution and build
+    error repro in tests/error_repros.json, and of MUTATIONS one-byte
+    mutations of each shipped scenario (a byte deleted, inserted or
+    replaced, drawn from MUTATION_BYTES by a generator seeded per scenario).
 Shipped scenarios run from their directory, by file name.
 """
 
@@ -27,7 +31,9 @@ import argparse
 import contextlib
 import importlib
 import io
+import json
 import os
+import random
 import re
 import sys
 import tempfile
@@ -39,6 +45,11 @@ SHIPPED = ROOT / "src" / "adjointkit" / "scenarios"
 FLAG_SETS = ([], ["--non-paranoid"], ["--strict-facts"], ["--full-lattice-axioms"],
              ["--word-bound", "1"], ["--word-bound", "10"])
 SEEDS = (5, 7)
+REPROS = ROOT / "tests" / "error_repros.json"
+MUTATIONS = 50
+# the grammar's characters, whitespace and a comment sign; no digit, so no
+# mutation raises a proof depth
+MUTATION_BYTES = "abfiKCH()[]~\\/|=-<>:,#_' \n"
 MAX_LISTED = 5
 
 TIMINGS = re.compile(r'(?m)"timings": \{[^{}]*\}|^  timings: .*$')
@@ -62,6 +73,17 @@ def command_list(workdir: Path) -> list[list[str]]:
                  for head in ("upd", "after")]
         for m in maps:
             commands += [["tables", name, m], ["tables", name, m, "--json"]]
+    checks = [(r["id"], "\n".join(r["lines"]) + "\n")
+              for r in json.loads(REPROS.read_text(encoding="utf-8"))]
+    for path in sorted(SHIPPED.glob("*.scn")):
+        checks += [(f"{path.stem}-{k}", text) for k, text in
+                   enumerate(mutations(path.read_text(encoding="utf-8"), path.name))]
+    check_dir = workdir / "checks"
+    check_dir.mkdir()
+    for name, text in checks:
+        path = check_dir / f"{name}.scn"
+        path.write_text(text, encoding="utf-8")
+        commands += [["run", str(path)], ["run", str(path), "--json"], ["validate", str(path)]]
     for workload in IN_PROCESS:
         for seed in SEEDS:
             seed_dir = workdir / f"{workload}-{seed}"
@@ -70,6 +92,18 @@ def command_list(workdir: Path) -> list[list[str]]:
                 path = op.argv[1]
                 commands += [["run", path, "--json"], ["validate", path, "--non-paranoid"]]
     return commands
+
+
+def mutations(text: str, seed: str) -> list[str]:
+    """MUTATIONS copies of text, each with one byte deleted, inserted or
+    replaced."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(MUTATIONS):
+        at, byte = rng.randrange(len(text)), rng.choice(MUTATION_BYTES)
+        head, tail = text[:at], text[at:]
+        out.append(rng.choice((head + tail[1:], head + byte + tail, head + byte + tail[1:])))
+    return out
 
 
 def outcome(cli, argv):
