@@ -154,21 +154,44 @@ class ScenarioDoc:
 # -- parsing ---------------------------------------------------------------
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.raw = text.splitlines()
-        self.i = 0
+def _significant_lines(text: str):
+    """An iterator of (line number, text, indent column) over the lines that
+    hold more than a comment, each cut at its '#' and stripped."""
+    return iter([(n, body, len(line) - len(line.lstrip()) + 1)
+                 for n, line in enumerate(text.splitlines(), 1)
+                 if (body := line.split("#", 1)[0].strip())])
 
-    def next_significant(self):
-        """(line_number, stripped text, indent column) or None at the end."""
-        while self.i < len(self.raw):
-            line = self.raw[self.i]
-            self.i += 1
-            body = line.split("#", 1)[0].rstrip()
-            if body.strip():
-                indent = len(body) - len(body.lstrip()) + 1
-                return self.i, body.strip(), indent
-        return None
+
+class _Terms:
+    """The terms of one parse_scenario call. Each distinct text is parsed
+    once: a text that parsed before gives its term again. refs maps each
+    term to the (kind, name) references its parse recorded, for _resolve."""
+
+    def __init__(self):
+        self.parsed: dict[str, Term] = {}  # by stripped text
+        self.refs: dict[Term, list] = {}
+
+    def term(self, text, line, column_offset) -> Term:
+        t = self.parsed.get(text.strip())
+        if t is None:
+            refs = []
+            t = self.parsed[text.strip()] = parse_term(text, line, column_offset, refs)
+            self.refs[t] = refs
+        return t
+
+    def entailment(self, text, line, column_offset) -> tuple[Term, Term]:
+        # A left side that parsed before as a whole term parses the same up
+        # to |= here, so the right side alone fails as the entailment would.
+        # Otherwise the entailment is parsed whole, for its errors.
+        cut = text.find("|=")
+        lhs = self.parsed.get(text[:cut].strip()) if cut >= 0 else None
+        if lhs is not None:
+            return lhs, self.term(text[cut + 2:], line, column_offset + cut + 2)
+        refs = ([], [])
+        seq = parse_entailment(text, line, column_offset, refs)
+        self.parsed[text[:cut].strip()], self.parsed[text[cut + 2:].strip()] = seq.lhs, seq.rhs
+        self.refs[seq.lhs], self.refs[seq.rhs] = refs
+        return seq.lhs, seq.rhs
 
 
 def _split_arrow(lineno, text, col):
@@ -181,18 +204,17 @@ def _split_arrow(lineno, text, col):
 def parse_scenario(text: str) -> ScenarioDoc:
     """Parse scenario text; raises ParseError / ResolutionError with
     locations. All cross-references are checked before returning."""
-    lines = _Lines(text)
+    lines = _significant_lines(text)
+    terms = _Terms()
 
-    first = lines.next_significant()
+    first = next(lines, None)
     if first is None:
         raise ParseError(1, 1, "empty scenario")
     lineno, body, col = first
     if body.split() != ["version", "1"]:
         raise ParseError(lineno, col, f"expected 'version 1', found {body!r}")
 
-    name = None
-    description = None
-    mode = None
+    name = description = mode = None
     worlds: list[str] = []
     poset_elements: list[str] = []
     poset_edges: list[tuple[str, str]] = []
@@ -203,11 +225,7 @@ def parse_scenario(text: str) -> ScenarioDoc:
     facts: list[str] = []
     queries: list[Query] = []
 
-    while True:
-        item = lines.next_significant()
-        if item is None:
-            break
-        lineno, body, col = item
+    for lineno, body, col in lines:
         words = body.split()
         head = words[0]
 
@@ -236,11 +254,7 @@ def parse_scenario(text: str) -> ScenarioDoc:
                 raise ParseError(lineno, col, "carrier already declared")
             carrier_declared = True
             seen: dict[str, None] = {}
-            while True:
-                sub = lines.next_significant()
-                if sub is None:
-                    raise ParseError(lineno, col, "poset block not closed with 'end'")
-                slineno, sbody, scol = sub
+            for slineno, sbody, scol in lines:
                 if sbody == "end":
                     break
                 parts = sbody.split()
@@ -252,6 +266,8 @@ def parse_scenario(text: str) -> ScenarioDoc:
                     poset_edges.append((parts[0], parts[2]))
                 else:
                     raise ParseError(slineno, scol, "poset lines are 'a < b' or a bare element")
+            else:
+                raise ParseError(lineno, col, "poset block not closed with 'end'")
             poset_elements = list(seen)
         elif head == "prop":
             rest = body[len("prop"):].strip()
@@ -260,20 +276,19 @@ def parse_scenario(text: str) -> ScenarioDoc:
             pname, expr = (s.strip() for s in rest.split("=", 1))
             if not pname.isidentifier():
                 raise ParseError(lineno, col, f"bad proposition name {pname!r}")
-            term = parse_term(expr, lineno, col + body.index("="))
-            props.append((pname, term))
+            props.append((pname, terms.term(expr, lineno, col + body.index("="))))
         elif head == "agent":
             if len(words) != 2:
                 raise ParseError(lineno, col, "agent wants exactly one name")
-            agents.append(_parse_agent_block(lines, lineno, col, words[1]))
+            agents.append(_parse_agent_block(lines, terms, lineno, col, words[1]))
         elif head == "action":
             if len(words) != 2:
                 raise ParseError(lineno, col, "action wants exactly one name")
-            actions.append(_parse_action_block(lines, lineno, col, words[1]))
+            actions.append(_parse_action_block(lines, terms, lineno, col, words[1]))
         elif head == "facts":
             facts.extend(words[1:])
         elif head == "query":
-            queries.append(_parse_query(lineno, body, col))
+            queries.append(_parse_query(terms, lineno, body, col))
         else:
             raise ParseError(lineno, col, f"unknown declaration {head!r}")
 
@@ -285,44 +300,33 @@ def parse_scenario(text: str) -> ScenarioDoc:
         raise ParseError(1, 1, "missing carrier declaration (worlds or poset)")
 
     doc = ScenarioDoc(
-        name=name,
-        mode=mode,
-        description=description,
-        worlds=tuple(worlds),
-        poset_elements=tuple(poset_elements),
-        poset_edges=tuple(poset_edges),
-        props=tuple(props),
-        agents=tuple(agents),
-        actions=tuple(actions),
-        facts=tuple(facts),
-        queries=tuple(queries),
+        name=name, mode=mode, description=description, worlds=tuple(worlds),
+        poset_elements=tuple(poset_elements), poset_edges=tuple(poset_edges),
+        props=tuple(props), agents=tuple(agents), actions=tuple(actions),
+        facts=tuple(facts), queries=tuple(queries),
     )
-    _resolve(doc)
+    _resolve(doc, terms.refs)
     return doc
 
 
-def _parse_agent_block(lines, lineno, col, name) -> AgentDecl:
+def _parse_agent_block(lines, terms, lineno, col, name) -> AgentDecl:
     sees, defs = [], []
-    while True:
-        item = lines.next_significant()
-        if item is None:
-            raise ParseError(lineno, col, f"agent block {name!r} not closed with 'end'")
-        slineno, body, scol = item
+    for slineno, body, scol in lines:
         if body == "end":
             return AgentDecl(name, tuple(sees), tuple(defs))
         if body.startswith("sees "):
             gen, rhs, rhs_col = _split_arrow(slineno, body[len("sees "):], scol + 5)
-            sees.append((gen, parse_term(rhs, slineno, rhs_col - 1)))
+            sees.append((gen, terms.term(rhs, slineno, rhs_col - 1)))
         elif body.startswith("def "):
             rest = body[len("def "):]
             if "=" not in rest:
                 raise ParseError(slineno, scol, "def wants 'def f[A](ATOM) = term'")
             head, rhs = (s.strip() for s in rest.split("=", 1))
             atom = _parse_def_head(slineno, scol, head, name)
-            term = parse_term(rhs, slineno, scol + body.index("="))
-            defs.append((atom, term))
+            defs.append((atom, terms.term(rhs, slineno, scol + body.index("="))))
         else:
             raise ParseError(slineno, scol, "agent lines start with 'sees' or 'def'")
+    raise ParseError(lineno, col, f"agent block {name!r} not closed with 'end'")
 
 
 def _parse_def_head(lineno, col, head, agent) -> str:
@@ -335,21 +339,17 @@ def _parse_def_head(lineno, col, head, agent) -> str:
     return t.arg.name
 
 
-def _parse_action_block(lines, lineno, col, name) -> ActionDecl:
+def _parse_action_block(lines, terms, lineno, col, name) -> ActionDecl:
     communication = False
     updates, appears, kernel = [], [], []
-    while True:
-        item = lines.next_significant()
-        if item is None:
-            raise ParseError(lineno, col, f"action block {name!r} not closed with 'end'")
-        slineno, body, scol = item
+    for slineno, body, scol in lines:
         if body == "end":
             return ActionDecl(name, communication, tuple(updates), tuple(appears), tuple(kernel))
         if body == "communication":
             communication = True
         elif body.startswith("update "):
             gen, rhs, rhs_col = _split_arrow(slineno, body[len("update "):], scol + 7)
-            updates.append((gen, parse_term(rhs, slineno, rhs_col - 1)))
+            updates.append((gen, terms.term(rhs, slineno, rhs_col - 1)))
         elif body.startswith("appears "):
             agent, target, _ = _split_arrow(slineno, body[len("appears "):], scol + 8)
             if not agent.isidentifier() or not target.isidentifier():
@@ -358,13 +358,12 @@ def _parse_action_block(lines, lineno, col, name) -> ActionDecl:
         elif body.startswith("kernel"):
             kernel.extend(body.split()[1:])
         else:
-            raise ParseError(
-                slineno, scol,
-                "action lines: communication / update / appears / kernel",
-            )
+            raise ParseError(slineno, scol,
+                             "action lines: communication / update / appears / kernel")
+    raise ParseError(lineno, col, f"action block {name!r} not closed with 'end'")
 
 
-def _parse_query(lineno, body, col) -> Query:
+def _parse_query(terms, lineno, body, col) -> Query:
     words = body.split()
     if len(words) < 3:
         raise ParseError(lineno, col, "query wants 'query ID KIND ...'")
@@ -379,8 +378,7 @@ def _parse_query(lineno, body, col) -> Query:
             raise ParseError(lineno, rest_col, "validate-axioms takes no arguments")
         return Query(qid, kind)
     if kind == "evaluate":
-        term = parse_term(rest, lineno, rest_col - 1)
-        return Query(qid, kind, lhs=term)
+        return Query(qid, kind, lhs=terms.term(rest, lineno, rest_col - 1))
 
     expect, depth = "holds", None
     if kind == "check":
@@ -399,47 +397,22 @@ def _parse_query(lineno, body, col) -> Query:
             if depth > T.MAX_PROOF_DEPTH:
                 raise ParseError(lineno, depth_col, f"depth must be at most {T.MAX_PROOF_DEPTH}")
 
-    seq = parse_entailment(rest, lineno, rest_col - 1)
-    return Query(qid, kind, lhs=seq.lhs, rhs=seq.rhs, expect=expect, depth=depth)
+    lhs, rhs = terms.entailment(rest, lineno, rest_col - 1)
+    return Query(qid, kind, lhs=lhs, rhs=rhs, expect=expect, depth=depth)
 
 
 # -- cross-reference resolution ----------------------------------------------
 
 
-def _term_names(t: Term):
-    """Yield (kind, name) for every agent, action and atom reference."""
-    if isinstance(t, T.Atom):
-        yield ("atom", t.name)
-    elif isinstance(t, (T.App, T.Info, T.Know, T.Believe)):
-        yield ("agent", t.agent)
-        yield from _term_names(t.arg)
-    elif isinstance(t, T.CK):
-        for a in t.agents:
-            yield ("agent", a)
-        yield from _term_names(t.arg)
-    elif isinstance(t, (T.Upd, T.After)):
-        yield from _action_names(t.action)
-        yield from _term_names(t.arg)
-    else:
-        for k in T.children(t):
-            yield from _term_names(k)
-
-
-def _action_names(ref):
-    if isinstance(ref, T.ActName):
-        yield ("action", ref.name)
-    else:
-        yield ("agent", ref.agent)
-        yield from _action_names(ref.ref)
-
-
-def _resolve(doc: ScenarioDoc):
+def _resolve(doc: ScenarioDoc, refs: dict):
+    """Check every cross-reference of doc; refs maps each of its terms to
+    the references its parse recorded, in source order."""
     carrier = set(doc.worlds) | set(doc.poset_elements)
     prop_names = set()
     for pname, term in doc.props:
         if pname in carrier or pname in prop_names:
             raise ResolutionError(f"proposition {pname!r} collides with another name")
-        for kind, n in _term_names(term):
+        for kind, n in refs[term]:
             if kind != "atom":
                 raise ResolutionError(f"prop {pname!r} must be a ground term, found a {kind}")
             if n not in carrier and n not in prop_names:
@@ -458,11 +431,11 @@ def _resolve(doc: ScenarioDoc):
         action_names.add(act.name)
 
     atoms = carrier | prop_names
+    pools = {"atom": atoms, "agent": agent_names, "action": action_names}
 
     def check_term(term, where, *, ground=False):
-        for kind, n in _term_names(term):
-            pool = {"atom": atoms, "agent": agent_names, "action": action_names}[kind]
-            if n not in pool:
+        for kind, n in refs[term]:
+            if n not in pools[kind]:
                 raise ResolutionError(f"{where} references undeclared {kind} {n!r}")
             if ground and kind != "atom":
                 raise ResolutionError(f"{where} must be a ground term")

@@ -19,10 +19,13 @@ input is that input. The table holds its nodes weakly, so a term lives only
 as long as a caller holds it: a strong table kept every term of every proof
 search alive, and raised the peak resident size of the in-process
 prove-nested benchmark from 21.5 to 25.3 MB. It is a plain dict from key to
-a weakref.KeyedRef, whose one removal callback drops the entry when its node
-dies, so an interned hit is a dict lookup and a call of the reference, with
-no Python-level WeakValueDictionary.get. Nodes are built from one thread;
-two threads could intern equal nodes twice.
+a _Ref, a weakref.ref subclass that holds the key in its one slot, and
+whose one removal callback drops the entry when its node dies. So an
+interned hit is a dict lookup and a call of the reference, with no
+Python-level WeakValueDictionary.get, and a new node's reference is built
+in C: weakref.KeyedRef, which it replaced, has a Python __new__ and
+__init__. Nodes are built from one thread; two threads could intern equal
+nodes twice.
 
 Every node carries redex flags, computed once when it is built: node.redex
 is the OR of its children's flags and of the REDEX_* kinds of the node
@@ -38,8 +41,14 @@ import weakref
 
 from .errors import ParseError
 
-# key (class, *fields) -> weakref.KeyedRef to the node
+# key (class, *fields) -> _Ref to the node
 _INTERNED: dict = {}
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned node, with the node's key."""
+
+    __slots__ = ("key",)
 
 
 def _forget(ref, table=_INTERNED):
@@ -91,7 +100,8 @@ class Node:
             redex |= cls._own_redex(*fields)
         _set_redex(node, redex)
         _set_term_depth(node, deepest + level)
-        _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
+        ref = _INTERNED[key] = _Ref(node, _forget)
+        ref.key = key
         return node
 
     def __init_subclass__(cls):
@@ -371,21 +381,23 @@ class Assumptions:
 
 # -- parsing --------------------------------------------------------------------
 
-# One token per match; finditer skips the whitespace between tokens, and any
-# other character is a "bad" token.
-_TOKEN_RE = re.compile(
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*'?|[0-9]+)|(?P<op>\\/|/\\|\|=|->|[()\[\],:~])|(?P<bad>\S)"
-)
+# One token per match, names first. findall skips whitespace and any other
+# character, so a text whose tokens do not add up to it, whitespace aside,
+# holds a bad character.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'?|[0-9]+|\\/|/\\|\|=|->|[()\[\],:~]")
+_OPS = frozenset(("\\/", "/\\", "|=", "->", "(", ")", "[", "]", ",", ":", "~"))
+_NOT_NAMES = _OPS | {""}  # "" is the end of input
+_BINARY = {"\\/": (_PREC_OR, Or), "/\\": (_PREC_AND, And)}
 
 
 def _tokenize(text: str, line: int, offset: int) -> list[tuple[str, str, int]]:
     """(kind, text, column) tuples; kind is "name", "op" or a final "end"."""
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind, column = m.lastgroup, offset + m.start() + 1
-        if kind == "bad":
-            raise ParseError(line, column, f"unexpected character {m.group()!r}")
-        out.append((kind, m.group(), column))
+    rest = _TOKEN_RE.sub(lambda m: " " * len(m.group()), text).lstrip()
+    if rest:
+        column = offset + len(text) - len(rest) + 1
+        raise ParseError(line, column, f"unexpected character {rest[0]!r}")
+    out = [("op" if m.group() in _OPS else "name", m.group(), offset + m.start() + 1)
+           for m in _TOKEN_RE.finditer(text)]
     out.append(("end", "", offset + len(text) + 1))
     return out
 
@@ -400,9 +412,9 @@ def _tokenize(text: str, line: int, offset: int) -> list[tuple[str, str, int]]:
 # renders to text that re-parses. Every node carries its depth (term_depth;
 # an action position adds no level, as in the parser), and the prover takes
 # no move whose sequent has a side deeper than the limit. The limit keeps the
-# recursive parser, evaluator, renderer, scenario resolver and prover inside
-# Python's stack.
+# recursive parser, evaluator, renderer and prover inside Python's stack.
 MAX_TERM_DEPTH = 100
+_TOO_DEEP = f"term nested more than {MAX_TERM_DEPTH} levels deep"
 
 # The largest proof search depth, for --depth and a prove query's depth N.
 # Search recurses twice per level and a proof is rendered once per level, so
@@ -412,156 +424,163 @@ MAX_PROOF_DEPTH = 200
 
 
 class _TermParser:
-    """Recursive descent over the tokens of one term or entailment."""
+    """Precedence climbing (Pratt, "Top Down Operator Precedence", 1973)
+    over the token texts of one term or entailment, "" ending them:
+    parse_term loops over binary operators and parse_unary reads one
+    operand, so a nesting level costs two Python frames. _tokenize finds a
+    column only for an error. For each atom, agent label and action name it
+    reads, the parser appends (kind, name) to refs, in source order; kind is
+    "atom", "agent" or "action"."""
 
-    def __init__(self, text: str, line: int = 1, column_offset: int = 0):
-        self.line = line
-        self.tokens = _tokenize(text, line, column_offset)
-        self.pos = 0
-        self.nesting = 0
+    def __init__(self, text: str, line: int = 1, column_offset: int = 0, refs=None):
+        self.tokens = _TOKEN_RE.findall(text)
+        if "".join(self.tokens) != "".join(text.split()):
+            _tokenize(text, line, column_offset)  # raises at the first bad character
+        self.tokens.append("")
+        self.text, self.line, self.offset = text, line, column_offset
+        self.pos = self.nesting = 0
+        self.refs = [] if refs is None else refs
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != "end":
-            self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> None:
-        kind, got, column = self.next()
-        if got != text:
-            found = repr(got) if kind != "end" else "end of input"
-            raise ParseError(self.line, column, f"found {found}", expected=repr(text))
-
-    def fail(self, message: str, expected=None, column=None):
-        column = self.peek()[2] if column is None else column
+    def fail(self, message: str, expected=None, at=None):
+        """Raise a ParseError at the token at index at, or at the next one."""
+        column = _tokenize(self.text, self.line, self.offset)[self.pos if at is None else at][2]
         raise ParseError(self.line, column, message, expected=expected)
 
-    def nested(self, parse):
-        """parse() one nesting level deeper, failing past MAX_TERM_DEPTH."""
-        if self.nesting == MAX_TERM_DEPTH:
-            self.fail(f"term nested more than {MAX_TERM_DEPTH} levels deep")
-        self.nesting += 1
-        out = parse()
-        self.nesting -= 1
-        return out
+    def expect(self, text: str) -> None:
+        got = self.tokens[self.pos]
+        if got != text:
+            self.fail(f"found {repr(got) if got else 'end of input'}", expected=repr(text))
+        self.pos += 1
 
-    def within(self, t: Term, column: int) -> Term:
-        """The operator node t, failing at its column past MAX_TERM_DEPTH."""
-        if t.term_depth > MAX_TERM_DEPTH:
-            self.fail(f"term nested more than {MAX_TERM_DEPTH} levels deep", column=column)
-        return t
+    def _parse_name(self, kind: str = "agent") -> str:
+        """A name, recorded as a reference of kind "agent" or "action"."""
+        name = self.tokens[self.pos]
+        if name in _NOT_NAMES:
+            self.fail("expected an action" if kind == "action" else "expected a name")
+        self.pos += 1
+        self.refs.append((kind, name))
+        return name
+
+    def _enter(self) -> None:
+        """One nesting level deeper, failing past MAX_TERM_DEPTH."""
+        if self.nesting == MAX_TERM_DEPTH:
+            self.fail(_TOO_DEEP)
+        self.nesting += 1
 
     # grammar
 
-    def parse_term(self) -> Term:
-        t = self.parse_and()
-        while self.peek()[1] == "\\/":
-            column = self.next()[2]
-            t = self.within(Or(t, self.parse_and()), column)
-        return t
-
-    def parse_and(self) -> Term:
+    def parse_term(self, min_prec: int = _PREC_OR) -> Term:
+        """Operands joined by binary operators of precedence min_prec or
+        more, to the left."""
         t = self.parse_unary()
-        while self.peek()[1] == "/\\":
-            column = self.next()[2]
-            t = self.within(And(t, self.parse_unary()), column)
-        return t
+        tokens = self.tokens
+        while True:
+            op = _BINARY.get(tokens[self.pos])
+            if op is None or op[0] < min_prec:
+                return t
+            at = self.pos
+            self.pos += 1
+            prec, cls = op
+            t = cls(t, self.parse_unary() if prec == _PREC_AND else self.parse_term(_PREC_AND))
+            if t.term_depth > MAX_TERM_DEPTH:
+                self.fail(_TOO_DEEP, at=at)
 
     def parse_unary(self) -> Term:
-        if self.peek()[1] == "~":
-            column = self.next()[2]
-            arg = self.parse_unary() if self.peek()[1] == "(" else self.nested(self.parse_unary)
-            return self.within(Not(arg), column)
-        return self.parse_primary()
-
-    def parse_primary(self) -> Term:
-        kind, head, column = self.peek()
+        """A parenthesised term, ~t, bot, top, an atom or a bracketed
+        operator around its argument."""
+        tokens, at = self.tokens, self.pos
+        head = tokens[at]
+        self.pos += 1
         if head == "(":
-            self.next()
-            out = self.nested(self.parse_term)
+            self._enter()
+            t = self.parse_term()
+            self.nesting -= 1
             self.expect(")")
-            return out
-        if kind != "name":
-            self.fail("expected a term", expected="name, '~' or '('")
-        self.next()
-        if head == "bot":
-            return Bot()
-        if head == "top":
-            return Top()
-        if self.peek()[1] == "[":
-            if head in _HEADS:
-                return self.within(self._parse_modal(_HEADS[head]), column)
-            raise ParseError(self.line, column, f"unknown operator {head!r}")
-        return Atom(head)
-
-    def _parse_name(self, what: str = "a name") -> str:
-        kind, text, column = self.next()
-        if kind != "name":
-            raise ParseError(self.line, column, f"expected {what}")
-        return text
-
-    def _parse_action_ref(self) -> ActionRef:
-        name = self._parse_name("an action")
-        if name == "f'":
-            self.expect("[")
-            agent = self._parse_name()
+            return t
+        if head == "~":
+            nests = tokens[at + 1] != "("  # a parenthesis counts for itself
+            if nests:
+                self._enter()
+            t = Not(self.parse_unary())
+            self.nesting -= nests
+        else:
+            if head in _NOT_NAMES:
+                self.fail("expected a term", expected="name, '~' or '('", at=at)
+            if head == "bot":
+                return Bot()
+            if head == "top":
+                return Top()
+            if tokens[at + 1] != "[":
+                self.refs.append(("atom", head))
+                return Atom(head)
+            cls = _HEADS.get(head)
+            if cls is None:
+                self.fail(f"unknown operator {head!r}", at=at)
+            self.pos += 1
+            depth = None
+            if cls is CK:
+                label = [self._parse_name()]
+                while tokens[self.pos] == ",":
+                    self.pos += 1
+                    label.append(self._parse_name())
+                if tokens[self.pos] == ":":
+                    self.pos += 1
+                    if not tokens[self.pos].isdigit():
+                        self.fail("expected a depth bound")
+                    depth = int(tokens[self.pos])
+                    self.pos += 1
+            elif cls is Upd or cls is After:
+                label = self._parse_action_ref()
+            else:
+                label = self._parse_name()
             self.expect("]")
             self.expect("(")
-            inner = self.nested(self._parse_action_ref)
+            self._enter()
+            arg = self.parse_term()
+            self.nesting -= 1
             self.expect(")")
-            return ActApp(agent, inner)
-        return ActName(name)
+            t = CK(tuple(label), arg, depth) if cls is CK else cls(label, arg)
+        if t.term_depth > MAX_TERM_DEPTH:
+            self.fail(_TOO_DEEP, at=at)
+        return t
 
-    def _parse_modal(self, cls) -> Term:
-        """The bracketed operator cls after its keyword."""
+    def _parse_action_ref(self) -> ActionRef:
+        if self.tokens[self.pos] != "f'":
+            return ActName(self._parse_name("action"))
+        self.pos += 1
         self.expect("[")
-        if cls is CK:
-            agents = [self._parse_name()]
-            while self.peek()[1] == ",":
-                self.next()
-                agents.append(self._parse_name())
-            depth = None
-            if self.peek()[1] == ":":
-                self.next()
-                kind, text, column = self.next()
-                if kind != "name" or not text.isdigit():
-                    raise ParseError(self.line, column, "expected a depth bound")
-                depth = int(text)
-            label = tuple(agents)
-        elif cls is Upd or cls is After:
-            label = self._parse_action_ref()
-        else:
-            label = self._parse_name()
+        agent = self._parse_name()
         self.expect("]")
         self.expect("(")
-        arg = self.nested(self.parse_term)
+        self._enter()
+        inner = self._parse_action_ref()
+        self.nesting -= 1
         self.expect(")")
-        return CK(label, arg, depth) if cls is CK else cls(label, arg)
-
-    def parse_entailment(self) -> Sequent:
-        lhs = self.parse_term()
-        self.expect("|=")
-        rhs = self.parse_term()
-        return Sequent(lhs, rhs)
+        return ActApp(agent, inner)
 
     def finish(self):
-        kind, text, column = self.peek()
-        if kind != "end":
-            raise ParseError(self.line, column, f"trailing input {text!r}")
+        if self.tokens[self.pos]:
+            self.fail(f"trailing input {self.tokens[self.pos]!r}")
 
 
-def parse_term(text: str, line: int = 1, column_offset: int = 0) -> Term:
-    p = _TermParser(text, line, column_offset)
+def parse_term(text: str, line: int = 1, column_offset: int = 0, refs=None) -> Term:
+    """The term of text. refs, if given, is a list that receives the term's
+    (kind, name) references (see _TermParser); line and column_offset place
+    a ParseError."""
+    p = _TermParser(text, line, column_offset, refs)
     t = p.parse_term()
     p.finish()
     return t
 
 
-def parse_entailment(text: str, line: int = 1, column_offset: int = 0) -> Sequent:
-    p = _TermParser(text, line, column_offset)
-    s = p.parse_entailment()
+def parse_entailment(text: str, line: int = 1, column_offset: int = 0, refs=None) -> Sequent:
+    """The sequent of text, lhs |= rhs. refs, if given, is a pair of lists
+    that receive the references of the two sides (see parse_term)."""
+    p = _TermParser(text, line, column_offset, None if refs is None else refs[0])
+    lhs = p.parse_term()
+    p.expect("|=")
+    if refs is not None:
+        p.refs = refs[1]
+    rhs = p.parse_term()
     p.finish()
-    return s
+    return Sequent(lhs, rhs)

@@ -1,8 +1,10 @@
 """Term grammar: parse/render round-trips, spines, error positions, and
 the interned node core."""
 
+import collections
 import copy
 import gc
+import itertools
 import pickle
 import random
 import re
@@ -326,3 +328,305 @@ def test_tokenizer_matches_the_old_one_on_random_strings():
         errors += old[0] == "error"
     # both outcomes occur often enough to mean something
     assert 2_000 < errors < 18_000
+
+
+# -- the parser against the one it replaced ---------------------------------
+
+class _OldTermParser:
+    """The recursive-descent parser as it was, one Python frame per
+    precedence level, over _old_tokenize's tokens."""
+
+    def __init__(self, text, line=1, column_offset=0):
+        self.line = line
+        self.tokens = _old_tokenize(text, line, column_offset)
+        self.pos = 0
+        self.nesting = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
+            self.pos += 1
+        return tok
+
+    def expect(self, text):
+        kind, got, column = self.next()
+        if got != text:
+            found = repr(got) if kind != "end" else "end of input"
+            raise ParseError(self.line, column, f"found {found}", expected=repr(text))
+
+    def fail(self, message, expected=None, column=None):
+        column = self.peek()[2] if column is None else column
+        raise ParseError(self.line, column, message, expected=expected)
+
+    def nested(self, parse):
+        if self.nesting == T.MAX_TERM_DEPTH:
+            self.fail(f"term nested more than {T.MAX_TERM_DEPTH} levels deep")
+        self.nesting += 1
+        out = parse()
+        self.nesting -= 1
+        return out
+
+    def within(self, t, column):
+        if t.term_depth > T.MAX_TERM_DEPTH:
+            self.fail(f"term nested more than {T.MAX_TERM_DEPTH} levels deep", column=column)
+        return t
+
+    def parse_term(self):
+        t = self.parse_and()
+        while self.peek()[1] == "\\/":
+            column = self.next()[2]
+            t = self.within(T.Or(t, self.parse_and()), column)
+        return t
+
+    def parse_and(self):
+        t = self.parse_unary()
+        while self.peek()[1] == "/\\":
+            column = self.next()[2]
+            t = self.within(T.And(t, self.parse_unary()), column)
+        return t
+
+    def parse_unary(self):
+        if self.peek()[1] == "~":
+            column = self.next()[2]
+            arg = self.parse_unary() if self.peek()[1] == "(" else self.nested(self.parse_unary)
+            return self.within(T.Not(arg), column)
+        return self.parse_primary()
+
+    def parse_primary(self):
+        kind, head, column = self.peek()
+        if head == "(":
+            self.next()
+            out = self.nested(self.parse_term)
+            self.expect(")")
+            return out
+        if kind != "name":
+            self.fail("expected a term", expected="name, '~' or '('")
+        self.next()
+        if head == "bot":
+            return T.Bot()
+        if head == "top":
+            return T.Top()
+        if self.peek()[1] == "[":
+            if head in T._HEADS:
+                return self.within(self._parse_modal(T._HEADS[head]), column)
+            raise ParseError(self.line, column, f"unknown operator {head!r}")
+        return T.Atom(head)
+
+    def _parse_name(self, what="a name"):
+        kind, text, column = self.next()
+        if kind != "name":
+            raise ParseError(self.line, column, f"expected {what}")
+        return text
+
+    def _parse_action_ref(self):
+        name = self._parse_name("an action")
+        if name == "f'":
+            self.expect("[")
+            agent = self._parse_name()
+            self.expect("]")
+            self.expect("(")
+            inner = self.nested(self._parse_action_ref)
+            self.expect(")")
+            return T.ActApp(agent, inner)
+        return T.ActName(name)
+
+    def _parse_modal(self, cls):
+        self.expect("[")
+        if cls is T.CK:
+            agents = [self._parse_name()]
+            while self.peek()[1] == ",":
+                self.next()
+                agents.append(self._parse_name())
+            depth = None
+            if self.peek()[1] == ":":
+                self.next()
+                kind, text, column = self.next()
+                if kind != "name" or not text.isdigit():
+                    raise ParseError(self.line, column, "expected a depth bound")
+                depth = int(text)
+            label = tuple(agents)
+        elif cls is T.Upd or cls is T.After:
+            label = self._parse_action_ref()
+        else:
+            label = self._parse_name()
+        self.expect("]")
+        self.expect("(")
+        arg = self.nested(self.parse_term)
+        self.expect(")")
+        return T.CK(label, arg, depth) if cls is T.CK else cls(label, arg)
+
+    def finish(self):
+        kind, text, column = self.peek()
+        if kind != "end":
+            raise ParseError(self.line, column, f"trailing input {text!r}")
+
+
+def _old_term_names(t):
+    """The scenario resolver's walk as it was: (kind, name) of every agent,
+    action and atom reference, in pre-order."""
+    if isinstance(t, T.Atom):
+        yield ("atom", t.name)
+    elif isinstance(t, (T.App, T.Info, T.Know, T.Believe)):
+        yield ("agent", t.agent)
+        yield from _old_term_names(t.arg)
+    elif isinstance(t, T.CK):
+        for a in t.agents:
+            yield ("agent", a)
+        yield from _old_term_names(t.arg)
+    elif isinstance(t, (T.Upd, T.After)):
+        yield from _old_action_names(t.action)
+        yield from _old_term_names(t.arg)
+    else:
+        for k in T.children(t):
+            yield from _old_term_names(k)
+
+
+def _old_action_names(ref):
+    if isinstance(ref, T.ActName):
+        yield ("action", ref.name)
+    else:
+        yield ("agent", ref.agent)
+        yield from _old_action_names(ref.ref)
+
+
+def _parse_outcomes(text, line, offset):
+    """The old and the new parser's outcome on text, as a term and as an
+    entailment: the term (one object), its term_depth and its references
+    (the old walk of the term, or what the new parser recorded), or the
+    ParseError's message, line, column and expectation. A third entailment
+    outcome comes from a scenario's term table, primed with the left side,
+    so that the right side is parsed alone."""
+    from adjointkit.scenario import _Terms
+
+    def attempt(parse):
+        try:
+            return parse()
+        except ParseError as err:
+            return ("error", str(err), err.line, err.column, err.expected)
+
+    def old_term():
+        p = _OldTermParser(text, line, offset)
+        t = p.parse_term()
+        p.finish()
+        return t, t.term_depth, list(_old_term_names(t))
+
+    def new_term():
+        refs = []
+        t = T.parse_term(text, line, offset, refs)
+        return t, t.term_depth, refs
+
+    def old_entailment():
+        p = _OldTermParser(text, line, offset)
+        lhs = p.parse_term()
+        p.expect("|=")
+        rhs = p.parse_term()
+        p.finish()
+        return lhs, rhs, list(_old_term_names(lhs)), list(_old_term_names(rhs))
+
+    def new_entailment():
+        refs = ([], [])
+        seq = T.parse_entailment(text, line, offset, refs)
+        return seq.lhs, seq.rhs, *refs
+
+    def table_entailment():
+        terms = _Terms()
+        attempt(lambda: terms.term(text.partition("|=")[0], line, offset))
+        lhs, rhs = terms.entailment(text, line, offset)
+        return lhs, rhs, terms.refs[lhs], terms.refs[rhs]
+
+    return ((attempt(old_term), attempt(new_term)),
+            (attempt(old_entailment), attempt(new_entailment), attempt(table_entailment)))
+
+
+def _drawn_term(rng, depth=0):
+    """A term text drawn from the grammar, with random spacing and
+    redundant parentheses."""
+    def sp():
+        return rng.choice(("", "", " ", "  ", "\t"))
+
+    def action():
+        if rng.random() < 0.7:
+            return rng.choice(("a", "abar", "f", "bot"))
+        return f"f'[{rng.choice('AB')}]({sp()}{action()}{sp()})"
+
+    roll = rng.random() if depth < 5 else 0
+    if roll < 0.3:
+        return rng.choice(("H", "T", "m1", "p_0", "bot", "top", "f", "fi", "7", "a'"))
+    if roll < 0.45:
+        return "~" + sp() + _drawn_term(rng, depth + 1)
+    if roll < 0.65:
+        op = rng.choice(("\\/", "/\\"))
+        return _drawn_term(rng, depth + 1) + sp() + op + sp() + _drawn_term(rng, depth + 1)
+    if roll < 0.72:
+        return "(" + sp() + _drawn_term(rng, depth + 1) + sp() + ")"
+    arg = _drawn_term(rng, depth + 1)
+    head = rng.choice(("f", "fi", "K", "B", "CK", "upd", "after"))
+    if head == "CK":
+        label = ",".join(rng.sample("ABC", rng.randint(1, 3)))
+        label += rng.choice(("", f":{rng.randrange(10)}"))
+    elif head in ("upd", "after"):
+        label = action()
+    else:
+        label = rng.choice("ABC")
+    return f"{head}[{sp()}{label}{sp()}]{sp()}({sp()}{arg}{sp()})"
+
+
+_NOISE = ("(", ")", "[", "]", ",", ":", "~", "\\/", "/\\", "|=", "->", "f'", "H", "CK",
+          " ", "$", "!", ".", "|", "=", "\\", "/", "'", "é", " ")
+
+
+def _drawn_inputs(rng):
+    """Grammar-drawn terms and entailments, each also truncated and with a
+    random token or bad character inserted."""
+    for _ in range(800):
+        text = _drawn_term(rng)
+        if rng.random() < 0.5:
+            text += rng.choice((" |= ", "|=", "  |=\t")) + _drawn_term(rng)
+        yield text
+        yield text[:rng.randrange(len(text) + 1)]
+        at = rng.randrange(len(text) + 1)
+        yield text[:at] + rng.choice(_NOISE) + text[at:]
+
+
+def _deep_inputs():
+    """Every nesting and chain shape at 95 to 105 levels."""
+    heads = [("(", ")"), ("~", ""), ("~(", ")"), ("f[A](", ")"), ("fi[B](", ")"),
+             ("K[A](", ")"), ("B[A](", ")"), ("CK[A,B](", ")"), ("CK[A:3](", ")"),
+             ("upd[a](", ")"), ("after[a](", ")"), ("upd[f'[A](a)](", ")"), ("~f[A](", ")")]
+    for n in range(95, 106):
+        for head, tail in heads:
+            yield head * n + "H" + tail * n
+            yield head * n + "H" + tail * (n - 1)
+        for kw in ("upd", "after"):
+            yield f"{kw}[" + "f'[A](" * n + "a" + ")" * n + "](H)"
+        for op in ("\\/", "/\\"):
+            for nesting in (0, 50, n - 95):
+                yield "f[A](" * nesting + "H" + f" {op} H" * (n - nesting) + ")" * nesting
+                yield "(" * nesting + "H" + f" {op} ~H" * (n - nesting) + ")" * nesting
+                yield "~(" * (nesting + 1) + "H" + f" {op} H" * (n - nesting) + ")" * (nesting + 1)
+        yield "H" + "".join(f" {op} H" for op in ["\\/", "/\\"] * (n // 2))
+        yield "H \\/ " + "(" * n + "H" + ")" * n
+        yield "~" * n + "(H)"
+
+
+def test_parser_matches_the_old_one_and_records_the_old_names():
+    """On drawn, deep and broken inputs the parser returns the term the old
+    one returned, with its depth, and records the references the old
+    resolver walk yielded; or it raises the old ParseError, message, line
+    and column alike. Entailments agree the same way, also when parsed
+    through a scenario's term table."""
+    rng = random.Random(27)
+    inputs = [(text, text + " |= H", "H |= " + text) for text in _drawn_inputs(rng)]
+    inputs += [(text, "H |= " + text) for text in _deep_inputs()]
+    kinds = collections.Counter()
+    for text in itertools.chain.from_iterable(inputs):
+        line, offset = rng.randrange(1, 500), rng.randrange(60)
+        (old_t, new_t), (old_e, *new_e) = _parse_outcomes(text, line, offset)
+        assert new_t == old_t, repr(text)
+        assert new_e == [old_e, old_e], repr(text)
+        kinds[old_t[0] == "error", old_e[0] == "error"] += 1
+    # successes and failures both occur often enough to mean something
+    assert min(kinds.values()) > 300, kinds
