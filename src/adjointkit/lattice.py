@@ -335,7 +335,13 @@ class PowersetLattice(FiniteLattice):
             raise LatticeTooLarge(
                 f"powerset of {len(worlds)} worlds has {n} elements, over the cap of {cap}"
             )
-        self._set_elements([_subset_name(worlds, m) for m in range(n)])
+        # subset names in mask order, doubled a world at a time as
+        # maps._from_atoms doubles a table: the masks with world k's bit
+        # follow those without it
+        names = [""]
+        for w in worlds:
+            names += [f"{m},{w}" if m else w for m in names]
+        self._set_elements([f"{{{m}}}" for m in names])
         self.worlds = worlds
         self.bottom, self.top = self.elements[0], self.elements[-1]
         self._irreducibles = tuple(self.elements[1 << k] for k in range(len(worlds)))
@@ -365,10 +371,6 @@ class PowersetLattice(FiniteLattice):
             reduce(operator.and_, (v for k, v in pairs if x & ~k == 0), self.n - 1)
             for x in range(self.n)
         )
-
-
-def _subset_name(worlds, mask):
-    return "{" + ",".join(w for k, w in enumerate(worlds) if mask >> k & 1) + "}"
 
 
 def _bits(x: int) -> list:

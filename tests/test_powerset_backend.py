@@ -92,6 +92,19 @@ def test_powerset_analysis_matches_its_table_twin(k):
     assert analysis(lat) == analysis(twin)
 
 
+def _subset_name(worlds, mask):
+    """A subset's name as PowersetLattice built it one mask at a time."""
+    return "{" + ",".join(w for k, w in enumerate(worlds) if mask >> k & 1) + "}"
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_subset_names_match_the_naming_by_mask(k, monkeypatch):
+    monkeypatch.setenv("ADJOINT_KIT_MAX_LATTICE", "1024")
+    worlds = [f"w{i}" if i % 3 else f"h_{i}'" for i in range(k)]
+    lat = powerset_lattice(worlds)
+    assert [e.name for e in lat.elements] == [_subset_name(worlds, m) for m in range(1 << k)]
+
+
 # -- maps -------------------------------------------------------------------------
 
 

@@ -28,7 +28,7 @@ from adjointkit import (
     powerset_lattice,
     right_adjoint,
 )
-from adjointkit import cli
+from adjointkit import cli, dynamics
 from adjointkit.epistemic import MAMA
 from adjointkit.maps import LatticeMap
 from adjointkit.quantale import (
@@ -130,6 +130,20 @@ def test_epistemic_quantale_letterwise_passes_both_modes():
     lifts = lift_action_appearance(alg, q)
     assert check_epistemic_quantale(q, lifts).ok
     assert check_epistemic_quantale(q, lifts, non_paranoid=True).ok
+
+
+@pytest.mark.parametrize("non_paranoid", [False, True])
+def test_epistemic_quantale_rows_are_named_by_the_system_laws(non_paranoid):
+    # the CLI names its system rows by dynamics.system_laws, and
+    # check_epistemic_quantale spells out its own: both reports must name
+    # the same laws, per agent and in order
+    alg = lying_model()
+    q = ActionQuantale(["a", "abar"], 2)
+    report = check_epistemic_quantale(q, lift_action_appearance(alg, q), non_paranoid)
+    names = [c.name for c in report.checks]
+    laws = dynamics.system_laws(alg.mama.agents, non_paranoid)
+    assert [n for n in names if "[" in n] == [n for n in laws if "[" in n]
+    assert names == list(laws[:len(names)])
 
 
 def test_optimistically_paranoid_unit():
