@@ -214,7 +214,9 @@ def parse_scenario(text: str) -> ScenarioDoc:
     if body.split() != ["version", "1"]:
         raise ParseError(lineno, col, f"expected 'version 1', found {body!r}")
 
-    name = description = mode = None
+    name = None
+    description = None
+    mode = None
     worlds: list[str] = []
     poset_elements: list[str] = []
     poset_edges: list[tuple[str, str]] = []
@@ -300,10 +302,17 @@ def parse_scenario(text: str) -> ScenarioDoc:
         raise ParseError(1, 1, "missing carrier declaration (worlds or poset)")
 
     doc = ScenarioDoc(
-        name=name, mode=mode, description=description, worlds=tuple(worlds),
-        poset_elements=tuple(poset_elements), poset_edges=tuple(poset_edges),
-        props=tuple(props), agents=tuple(agents), actions=tuple(actions),
-        facts=tuple(facts), queries=tuple(queries),
+        name=name,
+        mode=mode,
+        description=description,
+        worlds=tuple(worlds),
+        poset_elements=tuple(poset_elements),
+        poset_edges=tuple(poset_edges),
+        props=tuple(props),
+        agents=tuple(agents),
+        actions=tuple(actions),
+        facts=tuple(facts),
+        queries=tuple(queries),
     )
     _resolve(doc, terms.refs)
     return doc

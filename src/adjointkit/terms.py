@@ -19,13 +19,10 @@ input is that input. The table holds its nodes weakly, so a term lives only
 as long as a caller holds it: a strong table kept every term of every proof
 search alive, and raised the peak resident size of the in-process
 prove-nested benchmark from 21.5 to 25.3 MB. It is a plain dict from key to
-a _Ref, a weakref.ref subclass that holds the key in its one slot, and
-whose one removal callback drops the entry when its node dies. So an
-interned hit is a dict lookup and a call of the reference, with no
-Python-level WeakValueDictionary.get, and a new node's reference is built
-in C: weakref.KeyedRef, which it replaced, has a Python __new__ and
-__init__. Nodes are built from one thread; two threads could intern equal
-nodes twice.
+a _Ref, a weakref.ref with the key in a slot and a removal callback that
+drops the entry when its node dies: a hit is a dict lookup and a call of
+the reference, and a new reference is built, all in C. Nodes are built
+from one thread; two threads could intern equal nodes twice.
 
 Every node carries redex flags, computed once when it is built: node.redex
 is the OR of its children's flags and of the REDEX_* kinds of the node
@@ -385,8 +382,8 @@ class Assumptions:
 # character, so a text whose tokens do not add up to it, whitespace aside,
 # holds a bad character.
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*'?|[0-9]+|\\/|/\\|\|=|->|[()\[\],:~]")
-_OPS = frozenset(("\\/", "/\\", "|=", "->", "(", ")", "[", "]", ",", ":", "~"))
-_NOT_NAMES = _OPS | {""}  # "" is the end of input
+# the tokens that are not names, and "", the end of input
+_NOT_NAMES = frozenset(("\\/", "/\\", "|=", "->", "(", ")", "[", "]", ",", ":", "~", ""))
 _BINARY = {"\\/": (_PREC_OR, Or), "/\\": (_PREC_AND, And)}
 
 
@@ -396,7 +393,7 @@ def _tokenize(text: str, line: int, offset: int) -> list[tuple[str, str, int]]:
     if rest:
         column = offset + len(text) - len(rest) + 1
         raise ParseError(line, column, f"unexpected character {rest[0]!r}")
-    out = [("op" if m.group() in _OPS else "name", m.group(), offset + m.start() + 1)
+    out = [("op" if m.group() in _NOT_NAMES else "name", m.group(), offset + m.start() + 1)
            for m in _TOKEN_RE.finditer(text)]
     out.append(("end", "", offset + len(text) + 1))
     return out
@@ -475,12 +472,11 @@ class _TermParser:
         t = self.parse_unary()
         tokens = self.tokens
         while True:
-            op = _BINARY.get(tokens[self.pos])
-            if op is None or op[0] < min_prec:
+            prec, cls = _BINARY.get(tokens[self.pos], (0, None))
+            if prec < min_prec:
                 return t
             at = self.pos
             self.pos += 1
-            prec, cls = op
             t = cls(t, self.parse_unary() if prec == _PREC_AND else self.parse_term(_PREC_AND))
             if t.term_depth > MAX_TERM_DEPTH:
                 self.fail(_TOO_DEEP, at=at)
