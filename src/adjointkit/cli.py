@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 from .dynamics import check_word_cap, system_laws
@@ -299,9 +299,33 @@ def _execute(path, flags, only_query=None, kinds=None, with_axioms=True) -> RunR
     return report
 
 
+_JSON_WORDS = {"None": "null", "True": "true", "False": "false",  # scalars whose repr is not JSON
+               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(v, out: list, indent="\n") -> list:
+    """Append v to out as json.dumps(v, indent=2, sort_keys=True) writes a
+    report's values; indent is a newline and the current indentation."""
+    if isinstance(v, str):
+        out.append(_quote(v))
+    elif isinstance(v, (dict, list)):
+        is_dict = isinstance(v, dict)
+        sep, close = "{}" if is_dict else "[]"
+        inner = indent + "  "
+        for item in sorted(v) if is_dict else v:
+            out.append(sep + inner + _quote(item) + ": " if is_dict else sep + inner)
+            _json(v[item] if is_dict else item, out, inner)
+            sep = ","
+        out.append(indent + close if sep == "," else sep + close)  # empty: {} or []
+    else:  # None, a bool or a number
+        text = repr(v)
+        out.append(_JSON_WORDS.get(text, text))
+    return out
+
+
 def _print_report(report: RunReport, as_json: bool):
     if as_json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        print("".join(_json(report.as_dict(), [])))
         return
     print(f"scenario: {report.scenario}")
     if report.build_error:
@@ -353,8 +377,9 @@ def _cmd_tables(path, map_name, flags, as_json):
         for e in alg.lattice.elements
     ]
     if as_json:
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "scenario": inst.doc.name,
-                          "map": map_name, "table": rows}, indent=2, sort_keys=True))
+        table = {"schema_version": SCHEMA_VERSION, "scenario": inst.doc.name,
+                 "map": map_name, "table": rows}
+        print("".join(_json(table, [])))
         return 0
     width = max(len(r["element"]) for r in rows)
     w1 = max(len(r[names[0]]) for r in rows + [{names[0]: names[0]}])

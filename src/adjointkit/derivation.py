@@ -36,11 +36,27 @@ a depth-exhausted flag that is already set. So the table changes no proof
 tree, no NotProved reason and no frontier, only the work. A failure is
 never reused at a smaller budget: that would keep the verdict but could
 report a different frontier. A second table keeps each goal's successors
-for the whole call: its applicable moves (rule, children, note), in rule
-order, and how many rules have been tried. Rules are applied lazily, only
-as far as a search of the goal gets, so each rule is applied to a goal at
-most once per call, whatever the budgets it is expanded at. Both tables
-are emptied when the call returns.
+for the whole call: per rule, its result on the goal, once tried. Rules are
+applied lazily, only as far as a search of the goal gets, so each rule is
+applied to a goal at most once per call, whatever the budgets it is
+expanded at. Both tables are emptied when the call returns.
+
+A goal is tried only on the rules its root shape admits. _SHAPES gives,
+per rule, the class of lhs and of rhs it needs and the redex kinds the
+sequent or its lhs must hold; a rule index per rule order maps a goal's
+shape key (lhs class, rhs class, redex flags) to the rules that fit it,
+in rule order, so a goal costs one dict lookup, and the index holds no
+term. apply_rule reads the same table, and returns None outside a rule's
+shape; the index skips only those calls.
+
+The verdict reports the first FRONTIER dead ends. Once the search has met
+budget 0 and holds FRONTIER dead ends, nothing more it finds can change
+the NotProved it would return, and a goal searched at budget 1 can only
+succeed by a move without children (OrderAxiom or KernelDischarge), since
+every other move fails on its first child at budget 0. From then on such
+a goal is tried on those closing rules alone, and no child is built; its
+result is the one the full expansion would give, so no tree, reason or
+frontier changes.
 """
 
 from __future__ import annotations
@@ -71,6 +87,7 @@ from .terms import (
 )
 
 DEFAULT_MAX_DEPTH = 32
+FRONTIER = 16  # how many dead ends a NotProved reports
 
 ORDER_AXIOM = "OrderAxiom"
 KERNEL_DISCHARGE = "KernelDischarge"
@@ -140,7 +157,9 @@ class ProofNode:
 
 
 class NotProved:
-    """A search verdict, equal to another with the same reason and frontier."""
+    """A search verdict, equal to another with the same reason and frontier.
+    The frontier is the first FRONTIER distinct dead ends the search met, in
+    order: goals at budget 0 and goals no rule applies to."""
 
     __slots__ = ("reason", "frontier")
 
@@ -262,16 +281,6 @@ def _join_distrib(assumptions, used):
     return step
 
 
-# Rules that rewrite both sides in one simultaneous pass: the step each one
-# builds from the assumptions and a citation list, its note, and the redex
-# kind its step acts on.
-_PASS_RULES = {
-    ACT_APP_SUBST: (_ActAppSubst, "; ".join, T.REDEX_ACT_APP),
-    APP_SUBST: (_app_subst, lambda used: "substituted " + ", ".join(used), T.REDEX_APP_ATOM),
-    JOIN_DISTRIB: (_join_distrib, lambda used: "the maps preserve joins", T.REDEX_JOIN),
-}
-
-
 def _definition(t):
     """The definition of a K, B or bounded CK node, else None."""
     cls = type(t)
@@ -293,55 +302,101 @@ def _definition(t):
 
 # -- rule applications ---------------------------------------------------------
 
+# Each rule's root shape: the class its goal's lhs must have and the class
+# its rhs must have (None for any), and the redex kinds of which the
+# sequent, and its lhs, must hold one (0 for no condition). A rule cannot
+# apply to a goal outside its shape: apply_rule returns None there at once,
+# and prove's rule index never tries it there.
+_SHAPES = {
+    ORDER_AXIOM: (None, None, 0, 0),
+    KERNEL_DISCHARGE: (Upd, None, 0, 0),
+    FACT_DISCHARGE: (Upd, Atom, 0, 0),
+    ACT_APP_SUBST: (None, None, T.REDEX_ACT_APP, 0),
+    APP_SUBST: (None, None, T.REDEX_APP_ATOM, 0),
+    DEF_EXPAND: (None, None, T.REDEX_DEF, 0),
+    ADJ_UNFOLD_AFTER: (None, After, 0, 0),
+    ADJ_UNFOLD_INFO: (None, Info, 0, 0),
+    NO_MIRACLE: (None, None, 0, T.REDEX_NO_MIRACLE),
+    JOIN_DISTRIB: (None, None, T.REDEX_JOIN, 0),
+    CASE_SPLIT: (Or, None, 0, 0),
+    MEET_INTRO: (None, And, 0, 0),
+}
 
-def apply_rule(rule: str, seq: Sequent, assumptions: Assumptions):
-    """Apply one rule to a goal; returns (children, note) or None.
 
-    Every rule is deterministic, which is what makes proof trees
-    independently checkable: verify_tree just recomputes this function.
-    """
-    lhs, rhs = seq.lhs, seq.rhs
+def _shape_key(seq: Sequent):
+    """What the shapes read of a goal: (lhs class, rhs class, the
+    sequent's redex flags, the lhs's redex flags). It holds no term."""
+    lhs = seq.lhs
+    return type(lhs), type(seq.rhs), seq.redex, lhs.redex
 
-    if rule == ORDER_AXIOM:
-        if lhs == rhs:
-            return [], "both sides are equal"
-        if isinstance(lhs, Bot):
-            return [], "bot is below everything"
-        if isinstance(rhs, Top):
-            return [], "everything is below top"
-        if isinstance(rhs, Or) and lhs in T.or_spine(rhs):
-            return [], "the left side is a disjunct of the right"
-        if isinstance(lhs, And) and rhs in T.and_spine(lhs):
-            return [], "the right side is a conjunct of the left"
-        return None
 
-    if rule == KERNEL_DISCHARGE:
-        if (
-            isinstance(lhs, Upd)
-            and isinstance(lhs.action, ActName)
-            and isinstance(lhs.arg, Atom)
-            and lhs.arg.name in assumptions.kernel_atoms(lhs.action.name)
-        ):
-            return [], f"{lhs.arg.name} is in ker({lhs.action.name})"
-        return None
+def _fits(shape, lhs_cls, rhs_cls, redex, lhs_redex) -> bool:
+    want_lhs, want_rhs, seq_mask, lhs_mask = shape
+    return ((want_lhs is None or lhs_cls is want_lhs)
+            and (want_rhs is None or rhs_cls is want_rhs)
+            and (not seq_mask or redex & seq_mask)
+            and (not lhs_mask or lhs_redex & lhs_mask))
 
-    if rule == FACT_DISCHARGE:
-        if (
-            isinstance(lhs, Upd)
-            and isinstance(lhs.action, ActName)
-            and isinstance(lhs.arg, Atom)
-            and isinstance(rhs, Atom)
-            and rhs.name in assumptions.facts
-            and lhs.action.name in assumptions.communication
-        ):
-            note = f"{rhs.name} is a fact and {lhs.action.name} a communication action"
-            return [Sequent(lhs.arg, rhs)], note
-        return None
 
-    if rule in _PASS_RULES:
-        make_step, note, mask = _PASS_RULES[rule]
-        if not seq.redex & mask:
-            return None
+class _RuleIndex(dict):
+    """Shape key -> the rules of one rule order whose shape fits it, in
+    that order; filled as keys are met. Classes and flags are its only
+    keys, so it keeps no term alive."""
+
+    def __init__(self, order):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, key):
+        rules = self[key] = tuple(r for r in self.order if _fits(_SHAPES[r], *key))
+        return rules
+
+
+_INDEX = {order: _RuleIndex(order) for order in (RULE_ORDER, RULE_ORDER_NO_KERNEL_SHORTCUT)}
+
+
+def _order_axiom(lhs, rhs, assumptions):
+    if lhs == rhs:
+        return [], "both sides are equal"
+    if isinstance(lhs, Bot):
+        return [], "bot is below everything"
+    if isinstance(rhs, Top):
+        return [], "everything is below top"
+    if isinstance(rhs, Or) and lhs in T.or_spine(rhs):
+        return [], "the left side is a disjunct of the right"
+    if isinstance(lhs, And) and rhs in T.and_spine(lhs):
+        return [], "the right side is a conjunct of the left"
+    return None
+
+
+def _kernel_discharge(lhs, rhs, assumptions):
+    if (
+        isinstance(lhs.action, ActName)
+        and isinstance(lhs.arg, Atom)
+        and lhs.arg.name in assumptions.kernel_atoms(lhs.action.name)
+    ):
+        return [], f"{lhs.arg.name} is in ker({lhs.action.name})"
+    return None
+
+
+def _fact_discharge(lhs, rhs, assumptions):
+    if (
+        isinstance(lhs.action, ActName)
+        and isinstance(lhs.arg, Atom)
+        and rhs.name in assumptions.facts
+        and lhs.action.name in assumptions.communication
+    ):
+        note = f"{rhs.name} is a fact and {lhs.action.name} a communication action"
+        return [Sequent(lhs.arg, rhs)], note
+    return None
+
+
+def _one_pass(make_step, note, mask):
+    """A rule that rewrites both sides in one simultaneous pass, with the
+    step make_step builds from the assumptions and a citation list, its
+    note of the citations, and the redex kind its step acts on."""
+
+    def apply(lhs, rhs, assumptions):
         used = []
         step = make_step(assumptions, used)
         new_lhs, new_rhs = _rewrite(lhs, step, mask), _rewrite(rhs, step, mask)
@@ -349,75 +404,107 @@ def apply_rule(rule: str, seq: Sequent, assumptions: Assumptions):
             return None
         return [Sequent(new_lhs, new_rhs)], note(used)
 
-    if rule == DEF_EXPAND:
-        if not seq.redex & T.REDEX_DEF:
-            return None
-        unfolded = []
+    return apply
 
-        def step(t):
-            new = _definition(t)
-            if new is not None:
-                unfolded.append(type(t).__name__)
-            return new
 
-        new_lhs = _rewrite(lhs, step, T.REDEX_DEF, first=True)
-        new_rhs = rhs if unfolded else _rewrite(rhs, step, T.REDEX_DEF, first=True)
-        if not unfolded:
-            return None
-        return [Sequent(new_lhs, new_rhs)], f"unfolded the definition of {unfolded[0]}"
+def _def_expand(lhs, rhs, assumptions):
+    unfolded = []
 
-    if rule == ADJ_UNFOLD_AFTER:
-        if isinstance(rhs, After):
-            child = Sequent(Upd(rhs.action, lhs), rhs.arg)
-            return [child], f"adjunction on after[{render_action(rhs.action)}]"
+    def step(t):
+        new = _definition(t)
+        if new is not None:
+            unfolded.append(type(t).__name__)
+        return new
+
+    new_lhs = _rewrite(lhs, step, T.REDEX_DEF, first=True)
+    new_rhs = rhs if unfolded else _rewrite(rhs, step, T.REDEX_DEF, first=True)
+    if not unfolded:
         return None
+    return [Sequent(new_lhs, new_rhs)], f"unfolded the definition of {unfolded[0]}"
 
-    if rule == ADJ_UNFOLD_INFO:
-        if isinstance(rhs, Info):
-            child = Sequent(App(rhs.agent, lhs), rhs.arg)
-            return [child], f"adjunction on fi[{rhs.agent}]"
+
+def _adj_unfold_after(lhs, rhs, assumptions):
+    child = Sequent(Upd(rhs.action, lhs), rhs.arg)
+    return [child], f"adjunction on after[{render_action(rhs.action)}]"
+
+
+def _adj_unfold_info(lhs, rhs, assumptions):
+    child = Sequent(App(rhs.agent, lhs), rhs.arg)
+    return [child], f"adjunction on fi[{rhs.agent}]"
+
+
+def _no_miracle(lhs, rhs, assumptions):
+    # the first f[A](upd[a](s)) in a monotone position (not under ~ or B),
+    # with a a concrete action whose appearance to A is declared
+    table = assumptions.action_appearance
+    redexes = []
+
+    def step(t):
+        cls = type(t)
+        if cls is App and type(t.arg) is Upd:
+            ref = t.arg.action
+            if type(ref) is ActName and (t.agent, ref.name) in table:
+                redexes.append(t)
+                return Upd(ActApp(t.agent, ref), App(t.agent, t.arg.arg))
+        return t if cls is Not or cls is Believe else None
+
+    new_lhs = _rewrite(lhs, step, T.REDEX_NO_MIRACLE, first=True)
+    if not redexes:
         return None
+    agent, action = redexes[0].agent, redexes[0].arg.action
+    return [Sequent(new_lhs, rhs)], f"agent {agent}, action {render_action(action)}"
 
-    if rule == NO_MIRACLE:
-        # the first f[A](upd[a](s)) in a monotone position (not under ~ or B),
-        # with a a concrete action whose appearance to A is declared
-        if not lhs.redex & T.REDEX_NO_MIRACLE:
-            return None
-        table = assumptions.action_appearance
-        redexes = []
 
-        def step(t):
-            cls = type(t)
-            if cls is App and type(t.arg) is Upd:
-                ref = t.arg.action
-                if type(ref) is ActName and (t.agent, ref.name) in table:
-                    redexes.append(t)
-                    return Upd(ActApp(t.agent, ref), App(t.agent, t.arg.arg))
-            return t if cls is Not or cls is Believe else None
+def _case_split(lhs, rhs, assumptions):
+    return [Sequent(d, rhs) for d in T.or_spine(lhs)], "by definition of \\/"
 
-        new_lhs = _rewrite(lhs, step, T.REDEX_NO_MIRACLE, first=True)
-        if not redexes:
-            return None
-        agent, action = redexes[0].agent, redexes[0].arg.action
-        return [Sequent(new_lhs, rhs)], f"agent {agent}, action {render_action(action)}"
 
-    if rule == CASE_SPLIT:
-        if isinstance(lhs, Or):
-            return [Sequent(d, rhs) for d in T.or_spine(lhs)], "by definition of \\/"
+def _meet_intro(lhs, rhs, assumptions):
+    return [Sequent(lhs, c) for c in T.and_spine(rhs)], "by definition of /\\"
+
+
+# Each rule's application to a goal of its shape: (lhs, rhs, assumptions)
+# -> (children, note) or None.
+_APPLY = {
+    ORDER_AXIOM: _order_axiom,
+    KERNEL_DISCHARGE: _kernel_discharge,
+    FACT_DISCHARGE: _fact_discharge,
+    ACT_APP_SUBST: _one_pass(_ActAppSubst, "; ".join, T.REDEX_ACT_APP),
+    APP_SUBST: _one_pass(_app_subst, lambda used: "substituted " + ", ".join(used),
+                         T.REDEX_APP_ATOM),
+    DEF_EXPAND: _def_expand,
+    ADJ_UNFOLD_AFTER: _adj_unfold_after,
+    ADJ_UNFOLD_INFO: _adj_unfold_info,
+    NO_MIRACLE: _no_miracle,
+    JOIN_DISTRIB: _one_pass(_join_distrib, lambda used: "the maps preserve joins",
+                            T.REDEX_JOIN),
+    CASE_SPLIT: _case_split,
+    MEET_INTRO: _meet_intro,
+}
+
+# The rules whose moves have no children: a case split or a meet
+# introduction has two or more, every other rule one. Only these can close
+# a goal searched at budget 1.
+_CLOSING = frozenset({ORDER_AXIOM, KERNEL_DISCHARGE})
+
+
+def apply_rule(rule: str, seq: Sequent, assumptions: Assumptions):
+    """Apply one rule to a goal; returns (children, note) or None.
+
+    Every rule is deterministic, which is what makes proof trees
+    independently checkable: verify_tree just recomputes this function.
+    """
+    shape = _SHAPES.get(rule)
+    if shape is None:
+        raise InternalError(f"unknown rule {rule!r}")
+    if not _fits(shape, *_shape_key(seq)):
         return None
-
-    if rule == MEET_INTRO:
-        if isinstance(rhs, And):
-            return [Sequent(lhs, c) for c in T.and_spine(rhs)], "by definition of /\\"
-        return None
-
-    raise InternalError(f"unknown rule {rule!r}")
+    return _APPLY[rule](seq.lhs, seq.rhs, assumptions)
 
 
 # -- search ----------------------------------------------------------------------
 
 _UNSEEN = object()
-_NO_MOVES = ((), 0)  # a goal's successors before any rule is tried
 
 
 def prove(
@@ -430,35 +517,14 @@ def prove(
     """Search for a proof of seq; returns a ProofNode or NotProved."""
     if not 1 <= max_depth <= T.MAX_PROOF_DEPTH:
         raise ValueError(f"max_depth must be between 1 and {T.MAX_PROOF_DEPTH}")
-    order = RULE_ORDER_NO_KERNEL_SHORTCUT if no_kernel_shortcut else RULE_ORDER
+    index = _INDEX[RULE_ORDER_NO_KERNEL_SHORTCUT if no_kernel_shortcut else RULE_ORDER]
     dead_ends: dict[Sequent, None] = {}  # insertion-ordered set
     table: dict[tuple[Sequent, int], ProofNode | None] = {}
-    # goal -> (its moves (rule, children, note) found so far, rules tried)
-    successors: dict[Sequent, tuple[tuple, int]] = {}
+    # goal -> (the rules its shape fits, in rule order; per rule its result
+    # (children, note), None where it does not apply, _UNSEEN before it is
+    # tried)
+    successors: dict[Sequent, tuple[tuple, list]] = {}
     depth_exhausted = False
-
-    def next_move(goal: Sequent, k: int):
-        """The goal's k-th applicable move, or None after the last one. A
-        search asks for k = 0, 1, ... in turn, so k never passes the moves
-        found so far by more than one."""
-        moves, tried = successors.get(goal, _NO_MOVES)
-        if k < len(moves):
-            return moves[k]
-        while tried < len(order):
-            rule = order[tried]
-            tried += 1
-            res = apply_rule(rule, goal, assumptions)
-            if res is None:
-                continue
-            for child in res[0]:
-                if child.term_depth > MAX_TERM_DEPTH:
-                    break  # a move past the term depth limit is not taken
-            else:
-                move = (rule, *res)
-                successors[goal] = (*moves, move), tried
-                return move
-        successors[goal] = moves, tried
-        return None
 
     def search(goal: Sequent, budget: int):
         nonlocal depth_exhausted
@@ -474,10 +540,33 @@ def prove(
         return found
 
     def expand(goal: Sequent, budget: int):
-        k = 0
-        while (move := next_move(goal, k)) is not None:
-            k += 1
-            rule, children, note = move
+        entry = successors.get(goal)
+        if entry is None:
+            rules = index[_shape_key(goal)]
+            entry = successors[goal] = rules, [_UNSEEN] * len(rules)
+        rules, results = entry
+        # once the search has met budget 0 and the frontier is full, the
+        # verdict cannot change by more dead ends, and at budget 1 every
+        # move with children fails on its first child: try only the closing
+        # rules, and build no children
+        closing_only = budget == 1 and depth_exhausted and len(dead_ends) >= FRONTIER
+        applied = False
+        for i, rule in enumerate(rules):
+            if closing_only and rule not in _CLOSING:
+                continue
+            res = results[i]
+            if res is _UNSEEN:
+                res = apply_rule(rule, goal, assumptions)
+                if res is not None:
+                    for child in res[0]:
+                        if child.term_depth > MAX_TERM_DEPTH:
+                            res = None  # a move past the term depth limit is not taken
+                            break
+                results[i] = res
+            if res is None:
+                continue
+            applied = True
+            children, note = res
             kids = []
             for child in children:
                 sub = search(child, budget - 1)
@@ -486,7 +575,7 @@ def prove(
                 kids.append(sub)
             else:
                 return ProofNode(goal, rule, note, tuple(kids))
-        if k == 0:
+        if not applied:
             dead_ends.setdefault(goal)
         return None
 
@@ -495,7 +584,7 @@ def prove(
         if tree is not None:
             return tree
         reason = "depth_exhausted" if depth_exhausted else "no_applicable_rule"
-        return NotProved(reason, tuple(dead_ends)[:16])
+        return NotProved(reason, tuple(dead_ends)[:FRONTIER])
     finally:
         # search and expand refer to each other, so they and the tables they
         # hold would wait for the cyclic GC; let go of the goals now

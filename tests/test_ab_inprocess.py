@@ -1,8 +1,9 @@
 """Smoke test of tools/ab_inprocess.py: one round of the working tree against
-itself on every in-process workload."""
+itself on every in-process workload, and its comparison of outputs."""
 
 from __future__ import annotations
 
+import json
 import re
 import subprocess
 import sys
@@ -27,3 +28,21 @@ def test_ab_inprocess_runs_the_tree_against_itself():
                       r"\d+\.\d{2} ms parent; p90 of per-op medians \d+\.\d{2} ms change, "
                       r"\d+\.\d{2} ms parent$", line)
         assert m and int(m[1]) > 0 and int(m[3]) == int(m[1]) and int(m[2]) <= int(m[1]), line
+
+
+def test_outputs_are_compared_byte_for_byte():
+    # timings may differ; any other byte is a different output, also where
+    # the JSON parses to the same value, as a drift of the --json writer would
+    if str(ROOT / "tools") not in sys.path:
+        sys.path.append(str(ROOT / "tools"))
+    from ab_inprocess import comparable
+
+    report = {"verdicts": [], "exit_code": 0, "timings": {"parse": 0.001}}
+    out = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    retimed = json.dumps({**report, "timings": {"parse": 0.25}}, indent=2, sort_keys=True) + "\n"
+    assert comparable(0, out) == comparable(0, retimed)
+    assert comparable(0, out) != comparable(1, out)
+    for drift in (json.dumps(report, indent=1, sort_keys=True) + "\n",
+                  json.dumps(report, indent=2) + "\n", out.rstrip("\n")):
+        assert json.loads(drift) == report
+        assert comparable(0, out) != comparable(0, drift)

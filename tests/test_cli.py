@@ -11,6 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import adjointkit
 from adjointkit import cli, derivation, dynamics, maps, quantale
@@ -315,6 +316,21 @@ def test_the_deepest_proof_renders(tmp_path, capsys):
     assert max(indents) // 2 >= T.MAX_PROOF_DEPTH - 5
     assert main([*argv, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["verdicts"][0]["proof"]["rule"] == "DefExpand"
+
+
+_JSON_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f aZé€\u2028\U0001f600') | st.characters())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_JSON_VALUES)
+def test_the_json_writer_writes_what_json_dumps_writes(value):
+    # --json reports go through cli._json; json.dumps(indent=2) is the
+    # contract, byte for byte: empty containers, escapes, non-finite floats
+    assert "".join(cli._json(value, [])) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_depth_flag_is_used_as_given(capsys):

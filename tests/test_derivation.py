@@ -576,16 +576,14 @@ def reference_prove(seq, assumptions, max_depth, *, no_kernel_shortcut=False):
 O2_GOAL = "H \\/ T |= after[abar](after[abar](fi[A](fi[C](H))))"
 
 
-def shipped_prove_queries():
-    from importlib import resources
-
+def prove_queries(texts):
+    """(name, goal, assumptions, depth) of every prove query of the scenario
+    texts."""
     from adjointkit.scenario import instantiate, parse_scenario
 
     out = []
-    for path in sorted(resources.files("adjointkit").joinpath("scenarios").iterdir()):
-        if path.suffix != ".scn":
-            continue
-        doc = parse_scenario(path.read_text())
+    for text in texts:
+        doc = parse_scenario(text)
         prove_queries = [q for q in doc.queries if q.kind == "prove"]
         if not prove_queries:
             continue
@@ -594,6 +592,20 @@ def shipped_prove_queries():
             depth = q.depth or DEFAULT_MAX_DEPTH
             out.append((f"{doc.name}:{q.id}", Sequent(q.lhs, q.rhs), assumptions, depth))
     return out
+
+
+def shipped_prove_queries():
+    from importlib import resources
+
+    paths = sorted(resources.files("adjointkit").joinpath("scenarios").iterdir())
+    return prove_queries(p.read_text() for p in paths if p.suffix == ".scn")
+
+
+def benchmark_prove_queries(seed):
+    """The prove queries of the prove-nested benchmark's scenarios for a seed."""
+    from conftest import perfbench_module
+
+    return prove_queries(c.text for c in perfbench_module("gen").prove_cases(random.Random(seed)))
 
 
 @pytest.mark.parametrize("model_builder", [honest_coin_model, lying_coin_model])
@@ -613,6 +625,22 @@ def test_tabled_search_equals_the_reference_on_the_shipped_scenarios(no_kernel_s
         got = prove(seq, assumptions, depth, no_kernel_shortcut=no_kernel_shortcut)
         want = reference_prove(seq, assumptions, depth, no_kernel_shortcut=no_kernel_shortcut)
         assert got == want, name
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11])
+def test_tabled_search_equals_the_reference_on_the_benchmark_goals(seed):
+    # two of the seven goals of each scenario end depth_exhausted with a
+    # full frontier, after which goals at budget 1 try only the closing rules
+    queries = benchmark_prove_queries(seed)
+    full = 0
+    for no_kernel_shortcut in (False, True):
+        for name, seq, assumptions, depth in queries:
+            got = prove(seq, assumptions, depth, no_kernel_shortcut=no_kernel_shortcut)
+            want = reference_prove(seq, assumptions, depth,
+                                   no_kernel_shortcut=no_kernel_shortcut)
+            assert got == want, name
+            full += isinstance(got, NotProved) and len(got.frontier) == derivation.FRONTIER
+    assert len(queries) == 48 * 7 and full >= 2 * 96
 
 
 @pytest.mark.parametrize("depth", [8, 10, 12])
@@ -639,10 +667,29 @@ def test_tabled_search_expands_each_goal_once_per_budget(monkeypatch):
     assert calls <= 11_000
 
 
+def test_budget_one_goals_build_no_children_once_the_frontier_is_full(monkeypatch):
+    # building every budget-1 goal's children, only to see each fail at
+    # budget 0, took 1,749 rule applications here
+    calls = 0
+    apply_rule = derivation.apply_rule
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return apply_rule(*args)
+
+    monkeypatch.setattr(derivation, "apply_rule", counted)
+    outcome = prove(parse_entailment(O2_GOAL), lying_assumptions(), 10)
+    assert outcome.reason == "depth_exhausted"
+    assert len(outcome.frontier) == derivation.FRONTIER
+    assert calls <= 504
+
+
 @pytest.mark.parametrize("depth", [8, 10, 12])
 def test_each_rule_meets_each_goal_once_per_call(monkeypatch, depth):
     # the successor cache: a goal searched at several budgets, or reached
-    # again below itself, reuses the moves found for it
+    # again below itself, reuses the moves found for it; the rule index
+    # leaves out pairs that cannot apply, and reaches the same goals
     pairs = Counter()
     apply_rule = derivation.apply_rule
 
@@ -653,5 +700,5 @@ def test_each_rule_meets_each_goal_once_per_call(monkeypatch, depth):
     monkeypatch.setattr(derivation, "apply_rule", counted)
     outcome = prove(parse_entailment(O2_GOAL), lying_assumptions(), depth)
     assert isinstance(outcome, NotProved)
-    assert len(pairs) > 500
+    assert len({goal for _, goal in pairs}) == {8: 61, 10: 147, 12: 294}[depth]
     assert [pair for pair, n in pairs.items() if n > 1] == []

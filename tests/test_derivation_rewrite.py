@@ -26,6 +26,7 @@ from adjointkit.derivation import (
     NO_MIRACLE,
     ORDER_AXIOM,
     RULE_ORDER,
+    RULE_ORDER_NO_KERNEL_SHORTCUT,
 )
 from adjointkit.errors import InternalError
 from adjointkit import terms as T
@@ -367,8 +368,8 @@ def reference_apply_rule(rule, seq, assumptions):
 def _searches():
     """(assumptions, goal, depth, no_kernel_shortcut) for every search: the
     fuzz corpus of both coin models, the shipped prove queries and the O2
-    goal at depth 12, each in both rule orders. The fuzz runs at the depth
-    of the soundness fuzz."""
+    goal at depths 8, 10 and 12, each in both rule orders. The fuzz runs at
+    the depth of the soundness fuzz."""
     from conftest import honest_coin_model, lying_coin_model
     from test_derivation import (
         O2_GOAL,
@@ -382,7 +383,7 @@ def _searches():
         _, assumptions, goals = fuzz_corpus(model_builder)
         out.extend((assumptions, goal, DEFAULT_MAX_DEPTH) for goal in goals)
     out.extend((assumptions, seq, depth) for _, seq, assumptions, depth in shipped_prove_queries())
-    out.append((lying_assumptions(), parse_entailment(O2_GOAL), 12))
+    out.extend((lying_assumptions(), parse_entailment(O2_GOAL), depth) for depth in (8, 10, 12))
     return [(a, goal, depth, nks) for a, goal, depth in out for nks in (False, True)]
 
 
@@ -425,6 +426,27 @@ def test_every_rule_matches_the_reference_on_every_reached_goal(reached_goals):
     assert total > 3_000
     for rule in REWRITE_RULES:
         assert fired[rule] >= 20, (rule, fired[rule])
+
+
+def test_the_rule_index_leaves_out_only_rules_that_cannot_apply(reached_goals):
+    # prove tries a goal only on the rules its shape key selects; a rule
+    # left out must return None, in either rule order. Only the closing
+    # rules return no children, which is what lets a budget-1 goal try them
+    # alone.
+    left_out = 0
+    for assumptions, goals in reached_goals:
+        for goal in goals:
+            for order in (RULE_ORDER, RULE_ORDER_NO_KERNEL_SHORTCUT):
+                kept = derivation._INDEX[order][derivation._shape_key(goal)]
+                assert kept == tuple(rule for rule in order if rule in kept)
+                for rule in order:
+                    got = derivation.apply_rule(rule, goal, assumptions)
+                    if rule not in kept:
+                        left_out += 1
+                        assert got is None, (rule, goal.render())
+                    elif got is not None and not got[0]:
+                        assert rule in derivation._CLOSING, (rule, goal.render())
+    assert left_out > 20_000
 
 
 def test_no_miracle_rewrites_the_monotone_occurrence_of_a_shared_redex():

@@ -14,7 +14,8 @@ For each workload and seed it builds the ops with perfbench/run.py's
 `build_ops`, runs each op once on both sides as a warm-up, then R rounds of
 every op on both sides, the side that goes first alternating from op to op
 and round to round. It checks that both sides return the same exit code and
-the same `--json` output once `timings` is dropped, and prints the median
+the same stdout, byte for byte once the timings are elided by
+tools/diff_outputs.py's TIMINGS pattern, and prints the median
 over the ops of each op's ratio of median times (change / parent), the
 number of ops on which the change was faster, and each side's median and
 90th percentile (nearest rank, as perfbench/run.py takes it) of the per-op
@@ -31,7 +32,6 @@ import contextlib
 import importlib
 import importlib.util
 import io
-import json
 import statistics
 import subprocess
 import sys
@@ -77,10 +77,10 @@ def run_op(cli, argv):
 
 
 def comparable(code, out):
-    """An op's exit code and JSON report without its timings."""
-    report = json.loads(out)
-    report.pop("timings", None)
-    return code, report
+    """An op's exit code and stdout with the timings elided."""
+    from diff_outputs import TIMINGS  # diff_outputs imports this module
+
+    return code, TIMINGS.sub("timings elided", out)
 
 
 def compare(change, parent, ops, rounds):
