@@ -18,8 +18,9 @@ being built:
     up-sets: the rows are reflexive and transitive by construction. A
     component of two or more elements breaks antisymmetry. Every cover is a
     pair, so the upper covers of i are its successors that lie above no
-    other successor. Down-sets, the height (the longest path of covers),
-    `join_over` and `meet_over` run along the covers.
+    other successor. Down-sets, the height (the longest path of covers)
+    and the tables of maps run along the covers, at one operation on n-bit
+    rows per element, cover and pair.
   - Join-irreducibles: the elements with one lower cover; meet-irreducibles
     dually. Every element is the join of the join-irreducibles below it and
     the meet of the meet-irreducibles above it, so a law on joins (meets) is
@@ -42,7 +43,18 @@ being built:
 
 - A powerset of worlds (`powerset_lattice`) is a `PowersetLattice`: element
   index i is the subset with bitmask i, so every operation is mask
-  arithmetic and nothing is re-checked: a powerset is Boolean.
+  arithmetic and nothing is re-checked: a powerset is Boolean. A
+  join-preserving f on P(W) is fixed by the relation R(w) = f({w}):
+  f(S) = R[S], and f*(S) = {w : R(w) <= S} (Jonsson and Tarski, "Boolean
+  algebras with operators", 1951). A meet-preserving map is likewise fixed
+  by its images of the coatoms W - {v}. So the table of a map is built
+  from |W| images by doubling, a world at a time, and an adjoint's images
+  of the coatoms (atoms) are the transposed complement of the map's images
+  of the atoms (coatoms).
+
+Both backends build the tables of maps through the same four methods,
+`join_extension`, `meet_extension`, `right_adjoint_table` and
+`left_adjoint_table`, so the maps module never asks which one it is on.
 
 Each backend has one size limit, checked before any per-element work. A
 powerset has at most MAX_POWERSET_WORLDS = 16 worlds, an explicit order
@@ -127,8 +139,8 @@ class FiniteLattice:
 
     Exposes joins, meets, complements, Heyting implication and the join-
     and meet-irreducibles, on elements and, for the maps module, on bare
-    indices (`leq_index`, `join_index`, `meet_index`, and `join_over` and
-    `meet_over` for whole tables). Instances are immutable after
+    indices (`leq_index`, `join_index`, `meet_index`, and the extensions
+    and adjoints for whole tables). Instances are immutable after
     construction.
     """
 
@@ -251,7 +263,34 @@ class FiniteLattice:
         """Nonbottom elements that are not joins of strictly smaller ones."""
         return self._irreducibles
 
-    def join_over(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    def meet_irreducibles(self) -> tuple[Element, ...]:
+        """Nontop elements that are not meets of strictly larger ones."""
+        return self._meet_irreducibles
+
+    # -- tables of maps -----------------------------------------------------
+
+    def join_extension(self, images: Sequence[int]) -> tuple[int, ...]:
+        """Per element x, in index order, the join of images[k] over the k-th
+        join-irreducibles below x: the table of the join-preserving map
+        with these images of the irreducibles, where one exists."""
+        return self._join_over(zip((j.index for j in self._irreducibles), images))
+
+    def meet_extension(self, images: Sequence[int]) -> tuple[int, ...]:
+        """Per element x, the meet of images[k] over the k-th
+        meet-irreducibles above x."""
+        return self._meet_over(zip((m.index for m in self._meet_irreducibles), images))
+
+    def right_adjoint_table(self, t: Sequence[int]) -> tuple[int, ...]:
+        """f*(b), the join of every b' with f(b') <= b, for the
+        join-preserving f with table t: j <= f*(b) iff f(j) <= b."""
+        return self._join_over([(t[j.index], j.index) for j in self._irreducibles])
+
+    def left_adjoint_table(self, t: Sequence[int]) -> tuple[int, ...]:
+        """g*(b), the meet of every b' with b <= g(b'), for the
+        meet-preserving g with table t: g*(b) <= m iff b <= g(m)."""
+        return self._meet_over([(t[m.index], m.index) for m in self._meet_irreducibles])
+
+    def _join_over(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
         """Per element x, in index order, the index of the join of every v
         with (k, v) in pairs and k <= x: the element whose up-set is the
         intersection of their up-sets. One bottom-up pass along the covers:
@@ -265,7 +304,7 @@ class FiniteLattice:
                 acc[c] &= acc[x]
         return tuple(self._by_up[u] for u in acc)
 
-    def meet_over(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    def _meet_over(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
         """Per element x, in index order, the index of the meet of every v
         with (k, v) in pairs and x <= k: the dual, top-down pass."""
         acc = [(1 << self.n) - 1] * self.n
@@ -275,10 +314,6 @@ class FiniteLattice:
             for c in self._covers[x]:
                 acc[x] &= acc[c]
         return tuple(self._by_down[d] for d in acc)
-
-    def meet_irreducibles(self) -> tuple[Element, ...]:
-        """Nontop elements that are not meets of strictly larger ones."""
-        return self._meet_irreducibles
 
     # -- powerset conveniences --------------------------------------------
 
@@ -336,7 +371,7 @@ class PowersetLattice(FiniteLattice):
                 f"powerset of {len(worlds)} worlds has {n} elements, over the cap of {cap}"
             )
         # subset names in mask order, doubled a world at a time as
-        # maps._from_atoms doubles a table: the masks with world k's bit
+        # join_extension doubles a table: the masks with world k's bit
         # follow those without it
         names = [""]
         for w in worlds:
@@ -361,16 +396,40 @@ class PowersetLattice(FiniteLattice):
         self.check(a), self.check(b)
         return self.elements[(self.top.index ^ a.index) | b.index]
 
-    def join_over(self, pairs):
-        return tuple(
-            reduce(operator.or_, (v for k, v in pairs if k & ~x == 0), 0) for x in range(self.n)
-        )
+    def join_extension(self, images):
+        # world k doubles the table, the new half being the old one joined
+        # with the image of {k}
+        t = [0]
+        for img in images:
+            t += [x | img for x in t]
+        return tuple(t)
 
-    def meet_over(self, pairs):
-        return tuple(
-            reduce(operator.and_, (v for k, v in pairs if x & ~k == 0), self.n - 1)
-            for x in range(self.n)
-        )
+    def meet_extension(self, images):
+        # the meet-irreducibles W - {k} are in index order, world k last first
+        return self._from_coatoms(images[::-1])
+
+    def right_adjoint_table(self, t):
+        # f*(W - {v}) = {u : v not in f({u})}, and f* preserves meets
+        return self._from_coatoms(_transpose_complement([t[1 << k] for k in range(self.height)]))
+
+    def left_adjoint_table(self, t):
+        # g*({w}) = {v : w not in g(W - {v})}, and g* preserves joins
+        coatoms = [t[self.n - 1 ^ 1 << k] for k in range(self.height)]
+        return self.join_extension(_transpose_complement(coatoms))
+
+    def _from_coatoms(self, images):
+        """Table of the meet-preserving map that sends W - {k} to images[k]:
+        the dual doubling, the subsets without world k meeting its image."""
+        t = [self.n - 1]
+        for img in images:
+            t = [x & img for x in t] + t
+        return tuple(t)
+
+
+def _transpose_complement(rows) -> list:
+    """Row v of the result has bit u set iff rows[u] has bit v clear."""
+    k = len(rows)
+    return [sum(1 << u for u in range(k) if not rows[u] >> v & 1) for v in range(k)]
 
 
 def _bits(x: int) -> list:

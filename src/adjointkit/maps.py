@@ -4,28 +4,22 @@ A join-preserving f determines a meet-preserving right adjoint by
 f*(b) = join of every b' with f(b') <= b, and a meet-preserving g a
 join-preserving left adjoint by g*(b) = meet of every b' with b <= g(b').
 
-Every element of a finite lattice is the join of the join-irreducibles
-below it and the meet of the meet-irreducibles above it. So on an explicit
-order f*(b) is the join of the join-irreducibles j with f(j) <= b, and
-g*(b) the meet of the meet-irreducibles m with b <= g(m); f preserves
-joins iff f(bottom) = bottom and f(x \\/ j) = f(x) \\/ f(j) for every x and
-every join-irreducible j, and meets dually. The lattice's index-level
-`leq_index`, `join_index` and `meet_index` serve both carriers. On an
-explicit order, `join_over` builds the table of a map from generators, or
-of a right adjoint, in one bottom-up pass along the covering relation,
-each element taking the rows of its own pairs and what its lower covers
-took; `meet_over` is the dual, top-down pass. Each costs one operation on
-n-bit rows per element, cover and pair.
-
-On a powerset P(W) a join-preserving f is fixed by the relation
-R(w) = f({w}): f(S) = R[S], and f*(S) = {w : R(w) <= S} (Jonsson and
-Tarski, "Boolean algebras with operators", 1951). A meet-preserving map is
-likewise fixed by its images of the coatoms W - {v}. So maps on a powerset
-are built from |W| images by bit operations on the subset masks, and a law
-that is join- or meet-preserving on both sides is decided on bottom and
-the singletons. On either carrier, f -| g is decided as "f preserves joins
-and g is its right adjoint". Only when a law fails are all pairs scanned,
-in row-major order, for the first witness.
+Every table is built by the carrier: a map from generators is its
+`join_extension` of the images of the join-irreducibles, and an adjoint is
+its `right_adjoint_table` or `left_adjoint_table` (see the lattice module
+for how each backend builds them). What this module branches on is the
+lattice class. Every element of a finite lattice is the join of the
+join-irreducibles below it and the meet of the meet-irreducibles above it.
+On a distributive lattice the join-irreducibles are join-prime: j <= x \\/ y
+implies j <= x or j <= y (Davey and Priestley, Introduction to Lattices
+and Order, 2nd ed., 2002, ch. 5). So there the join extension of any
+images preserves joins, and a table preserves joins iff it equals the join
+extension of its own images of the irreducibles; meets dually. On a
+non-distributive lattice a table preserves joins iff f(bottom) = bottom and
+f(x \\/ j) = f(x) \\/ f(j) for every x and every join-irreducible j, and
+meets dually. On any carrier, f -| g is decided as "f preserves joins and g
+is its right adjoint". Only when a law fails are all pairs scanned, in
+row-major order, for the first witness.
 
 Map flavor (join-preserving / meet-preserving / unclassified) is tracked
 explicitly and operations demand the flavor they need, so misuse fails
@@ -173,10 +167,8 @@ def map_from_generators(lattice: FiniteLattice, assignments: dict) -> LatticeMap
         raise MissingGenerator("; ".join(parts))
 
     images = {k.index: lattice.check(v).index for k, v in assignments.items()}
-    if lattice.worlds is not None:
-        # the irreducibles are the singletons, in mask order
-        return LatticeMap(lattice, _from_atoms([images[e.index] for e in irr]), JOIN_PRESERVING)
-    m = LatticeMap(lattice, lattice.join_over(images.items()), JOIN_PRESERVING)
+    m = LatticeMap(lattice, lattice.join_extension([images[e.index] for e in irr]),
+                   JOIN_PRESERVING)
     if not lattice.is_distributive:
         violation = validate_join_preserving(m)
         if violation is not None:
@@ -228,7 +220,7 @@ def right_adjoint(f: LatticeMap) -> AdjointPair:
     """Compute f* with f*(b) = join of all b' such that f(b') <= b."""
     if f.kind != JOIN_PRESERVING:
         raise NotJoinPreserving("right_adjoint needs a join-preserving map")
-    fstar = LatticeMap(f.lattice, _right_adjoint_table(f.lattice, f.table), MEET_PRESERVING)
+    fstar = LatticeMap(f.lattice, f.lattice.right_adjoint_table(f.table), MEET_PRESERVING)
     return AdjointPair(left=f, right=fstar)
 
 
@@ -236,7 +228,7 @@ def left_adjoint(g: LatticeMap) -> AdjointPair:
     """Compute g* with g*(b) = meet of all b' such that b <= g(b')."""
     if g.kind != MEET_PRESERVING:
         raise NotMeetPreserving("left_adjoint needs a meet-preserving map")
-    gstar = LatticeMap(g.lattice, _left_adjoint_table(g.lattice, g.table), JOIN_PRESERVING)
+    gstar = LatticeMap(g.lattice, g.lattice.left_adjoint_table(g.table), JOIN_PRESERVING)
     return AdjointPair(left=gstar, right=g)
 
 
@@ -259,7 +251,7 @@ def verify_adjunction(f: LatticeMap, g: LatticeMap) -> tuple[Element, Element] |
     lat = f.lattice
     ft, gt = f.table, g.table
     # f -| g iff f preserves joins and g is its right adjoint
-    if _preserves_joins(lat, ft) and gt == _right_adjoint_table(lat, ft):
+    if _preserves_joins(lat, ft) and gt == lat.right_adjoint_table(ft):
         return None
     leq, n = lat.leq_index, lat.n
     b, bp = next(
@@ -360,58 +352,18 @@ def check_demorgan_lift(f: LatticeMap) -> Element | None:
     return None if bad is None else lat.elements[bad]
 
 
-# -- powerset carriers: maps as bit operations on subset masks ------------------
-
-
-def _from_atoms(images) -> tuple:
-    """Table of the join-preserving map on a powerset that sends the k-th
-    singleton to images[k]: each world doubles the table, the new half
-    being the old one joined with the world's image."""
-    t = [0]
-    for img in images:
-        t += [x | img for x in t]
-    return tuple(t)
-
-
-def _from_coatoms(top: int, images) -> tuple:
-    """Table of the meet-preserving map on a powerset that sends the
-    complement of the k-th singleton to images[k]: the dual doubling, the
-    subsets without world k meeting its image."""
-    t = [top]
-    for img in images:
-        t = [x & img for x in t] + t
-    return tuple(t)
-
-
-def _atoms(lat: FiniteLattice, t) -> list:
-    return [t[1 << k] for k in range(len(lat.worlds))]
-
-
-def _coatoms(lat: FiniteLattice, t) -> list:
-    return [t[lat.top.index ^ (1 << k)] for k in range(len(lat.worlds))]
-
-
-def _transpose_complement(rows) -> list:
-    """Row v of the result has bit u set iff rows[u] has bit v clear."""
-    k = len(rows)
-    return [sum(1 << u for u in range(k) if not rows[u] >> v & 1) for v in range(k)]
-
-
-# -- laws and adjoint tables, by carrier kind: the powerset's doubling tables,
-# or an explicit order's irreducibles -------------------------------------------
+# -- laws, by lattice class ------------------------------------------------------
 
 
 def _preserves_joins(lat: FiniteLattice, t) -> bool:
-    if lat.worlds is not None:
-        # the union extension of the images of the singletons
-        return t == _from_atoms(_atoms(lat, t))
+    if lat.is_distributive:
+        return t == lat.join_extension([t[j.index] for j in lat.join_irreducibles()])
     return _preserves_on(t, lat.bottom.index, lat.join_index, lat.join_irreducibles())
 
 
 def _preserves_meets(lat: FiniteLattice, t) -> bool:
-    if lat.worlds is not None:
-        # the intersection extension of the images of the coatoms
-        return t == _from_coatoms(lat.top.index, _coatoms(lat, t))
+    if lat.is_distributive:
+        return t == lat.meet_extension([t[m.index] for m in lat.meet_irreducibles()])
     return _preserves_on(t, lat.top.index, lat.meet_index, lat.meet_irreducibles())
 
 
@@ -424,19 +376,3 @@ def _preserves_on(t, unit, bound, irreducibles) -> bool:
         t[bound(x, j)] == bound(t[x], t[j]) for j in (e.index for e in irreducibles)
         for x in range(len(t))
     )
-
-
-def _right_adjoint_table(lat: FiniteLattice, t) -> tuple:
-    if lat.worlds is not None:
-        # f*(W - {v}) = {u : v not in f({u})}, and f* preserves meets
-        return _from_coatoms(lat.top.index, _transpose_complement(_atoms(lat, t)))
-    # j <= f*(b) iff f(j) <= b
-    return lat.join_over([(t[j.index], j.index) for j in lat.join_irreducibles()])
-
-
-def _left_adjoint_table(lat: FiniteLattice, t) -> tuple:
-    if lat.worlds is not None:
-        # g*({w}) = {v : w not in g(W - {v})}, and g* preserves joins
-        return _from_atoms(_transpose_complement(_coatoms(lat, t)))
-    # g*(b) <= m iff b <= g(m)
-    return lat.meet_over([(t[m.index], m.index) for m in lat.meet_irreducibles()])

@@ -3,10 +3,10 @@
 The random generators are seeded by the tests that use them, so failures
 reproduce. Lattice sources: powersets (Boolean, on bitmasks), their table
 twins (the same powersets built as explicit orders, so they take the
-bit-row path), chains, downset lattices of random posets (distributive by
-construction), and bounded random posets rejection-sampled until every pair
-has a join and a meet (these routinely contain M3/N5, so the
-non-distributive territory is covered too).
+bit-row path), chains and products of chains, downset lattices of random
+posets (distributive by construction), and bounded random posets
+rejection-sampled until every pair has a join and a meet (these routinely
+contain M3/N5, so the non-distributive territory is covered too).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import random
 import sys
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -238,6 +238,17 @@ def random_chain(rng: random.Random, max_len=8) -> FiniteLattice:
     k = rng.randint(2, max_len)
     labels = [f"c{i}" for i in range(k)]
     return build_from_order(labels, [(labels[i], labels[i + 1]) for i in range(k - 1)])
+
+
+def grid(*sizes):
+    """Labels and cover pairs of the product of chains of the given sizes:
+    point (x, y, ...) is labelled gx_y_..., below its successor on each axis
+    in turn."""
+    points = list(product(*map(range, sizes)))
+    label = {p: "g" + "_".join(map(str, p)) for p in points}
+    pairs = [(label[p], label[p[:d] + (p[d] + 1,) + p[d + 1:]])
+             for d, size in enumerate(sizes) for p in points if p[d] + 1 < size]
+    return list(label.values()), pairs
 
 
 def random_downset_lattice(rng: random.Random, max_points=5) -> FiniteLattice:

@@ -25,7 +25,7 @@ from adjointkit import (
 from adjointkit import lattice as lattice_mod
 from adjointkit.lattice import FiniteLattice
 from conftest import (
-    m3_lattice, n5_lattice, random_bounded_poset, random_chain, random_downset_lattice,
+    grid, m3_lattice, n5_lattice, random_bounded_poset, random_chain, random_downset_lattice,
     random_lattice, random_powerset, table_twin,
 )
 
@@ -208,14 +208,6 @@ def test_table_limit_is_checked_before_any_allocation(monkeypatch):
         FiniteLattice(labels, None)
 
 
-def grid(a, b):
-    """The product of an a-chain and a b-chain, given by its covers."""
-    labels = [f"g{x}_{y}" for x in range(a) for y in range(b)]
-    pairs = ([(f"g{x}_{y}", f"g{x + 1}_{y}") for x in range(a - 1) for y in range(b)]
-             + [(f"g{x}_{y}", f"g{x}_{y + 1}") for x in range(a) for y in range(b - 1)])
-    return labels, pairs
-
-
 def test_the_largest_explicit_orders_build(monkeypatch):
     # at the limit: a chain, where every pair is comparable; M_1022, whose
     # atoms make a million incomparable (element, irreducible) pairs; and a
@@ -322,6 +314,9 @@ def test_binary_join_in_powerset(coin2):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_join_over_and_meet_over_match_brute_force(seed):
+    """An explicit order's passes along the covers on random pairs, and
+    both backends' extensions of random images of the irreducibles, against
+    the join (meet) of the images at or below (above) each element."""
     rng = random.Random(700 + seed)
     for _ in range(20):
         lat = rng.choice([random_chain, random_downset_lattice, random_bounded_poset,
@@ -333,8 +328,21 @@ def test_join_over_and_meet_over_match_brute_force(seed):
                  for _ in range(rng.randint(0, 2 * lat.n))]
         joins = [lat.join(el[v] for k, v in pairs if lat.leq_(el[k], x)).index for x in el]
         meets = [lat.meet(el[v] for k, v in pairs if lat.leq_(x, el[k])).index for x in el]
-        assert lat.join_over(pairs) == tuple(joins)
-        assert lat.meet_over(pairs) == tuple(meets)
+        assert lat._join_over(pairs) == tuple(joins)
+        assert lat._meet_over(pairs) == tuple(meets)
+    carriers = [powerset_lattice([f"w{i}" for i in range(seed % 6)]),
+                build_from_order(*grid(1 + seed % 5, 2 + seed // 5)),
+                build_from_order(*grid(2, 3, 2)), m3_lattice(), n5_lattice(),
+                random_bounded_poset(rng)]
+    for lat in carriers:
+        el, irr, mirr = lat.elements, lat.join_irreducibles(), lat.meet_irreducibles()
+        for _ in range(5):
+            up = [rng.randrange(lat.n) for _ in irr]
+            down = [rng.randrange(lat.n) for _ in mirr]
+            joins = [lat.join(el[v] for j, v in zip(irr, up) if lat.leq_(j, x)) for x in el]
+            meets = [lat.meet(el[v] for m, v in zip(mirr, down) if lat.leq_(x, m)) for x in el]
+            assert lat.join_extension(up) == tuple(e.index for e in joins)
+            assert lat.meet_extension(down) == tuple(e.index for e in meets)
 
 
 def test_foreign_element_rejected(coin2, coin3):

@@ -6,6 +6,7 @@ are then checked exhaustively as an independent route.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from adjointkit import (
     NotBoolean,
     NotJoinPreserving,
     NotMeetPreserving,
+    build_from_order,
     check_demorgan_lift,
     compose,
     de_morgan_dual,
@@ -35,13 +37,16 @@ from adjointkit import (
     validate_meet_preserving,
     verify_adjunction,
 )
-from adjointkit.maps import LatticeMap, UNCLASSIFIED, constant_map
+from adjointkit.maps import LatticeMap, PreservationViolation, UNCLASSIFIED, constant_map
 from adjointkit.errors import MissingGenerator
 from conftest import (
     coin_appearance,
+    grid,
     m3_lattice,
     n5_lattice,
     random_bounded_poset,
+    random_chain,
+    random_downset_lattice,
     random_join_map,
     random_lattice,
     random_powerset,
@@ -321,15 +326,17 @@ def test_adjoint_corollaries_random(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_adjoints_unique_roundtrip(seed):
     """The adjoints and the generator extension agree with the defining
-    formulas on explicit orders of every kind, including M3, N5 and a
-    powerset's twin in scrambled order, and on the powerset itself; every
-    derived table is a tuple of Python ints."""
+    formulas on explicit orders of every kind, including M3, N5, products
+    of chains and a powerset's twin in scrambled order, and on powersets of
+    0 to 5 worlds; every derived table is a tuple of Python ints."""
     rng = random.Random(400 + seed)
     pw = random_powerset(rng, max_worlds=4)
     scrambled = list(range(pw.n))
     rng.shuffle(scrambled)
     carriers = [random_lattice(rng), m3_lattice(), n5_lattice(), random_bounded_poset(rng),
-                table_twin(pw, scrambled), pw]
+                table_twin(pw, scrambled), pw, powerset_lattice([f"w{i}" for i in range(seed % 6)]),
+                build_from_order(*grid(2 + seed % 4, 2 + seed // 4)),
+                build_from_order(*grid(2, 3, 2))]
     for lat in carriers:
         gens = {j: rng.choice(lat.elements) for j in lat.join_irreducibles()}
         brute = brute_generator_table(lat, gens)
@@ -340,12 +347,76 @@ def test_adjoints_unique_roundtrip(seed):
         f = random_join_map(rng, lat)
         fstar = right_adjoint(f).right
         assert fstar.table == brute_right_adjoint_table(lat, f)
+        assert lat.right_adjoint_table(f.table) == fstar.table
+        assert lat.left_adjoint_table(fstar.table) == brute_left_adjoint_table(lat, fstar)
         assert left_adjoint(fstar).left == f
         assert left_adjoint(fstar).left.table == brute_left_adjoint_table(lat, fstar)
         derived = [f, fstar, left_adjoint(fstar).left, compose(f, fstar), pointwise_join(f, f),
                    pointwise_meet(fstar, fstar), lfp_join(f), gfp_meet(fstar)]
         for m in derived:
             assert type(m.table) is tuple and all(type(i) is int for i in m.table)
+
+
+def scanned_violation(m, unit, bound2):
+    """The first witness against m preserving unit and the binary bound2,
+    by the definition: m(unit), then every pair in row-major order."""
+    lat = m.lattice
+    if m(unit) is not unit:
+        return PreservationViolation(None, m(unit), unit)
+    for a in lat.elements:
+        for b in lat.elements:
+            if m(bound2(a, b)) is not bound2(m(a), m(b)):
+                return PreservationViolation((a, b), m(bound2(a, b)), bound2(m(a), m(b)))
+    return None
+
+
+def scanned_adjunction(f, g):
+    """The first (b, b') in row-major order with f(b) <= b' but not
+    b <= g(b'), or the converse."""
+    lat = f.lattice
+    return next(((b, c) for b in lat.elements for c in lat.elements
+                 if lat.leq_(f(b), c) != lat.leq_(b, g(c))), None)
+
+
+def verdict(v):
+    return None if v is None else (v.pair, v.lhs, v.rhs, v.describe())
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_laws_on_distributive_orders_match_the_pair_scan(seed):
+    """On distributive explicit orders a law is decided by comparing a table
+    with the extension of its images of the irreducibles; the verdicts,
+    witnesses and messages must be those of a scan of every pair, on
+    lawful maps and on tables with one entry moved."""
+    rng = random.Random(1300 + seed)
+    failures = Counter()
+    for _ in range(6):
+        lat = rng.choice([random_chain, random_downset_lattice,
+                          lambda rng: table_twin(random_powerset(rng, 4)),
+                          lambda rng: build_from_order(*grid(rng.randint(2, 5),
+                                                             rng.randint(2, 5)))])(rng)
+        assert lat.is_distributive and lat.worlds is None
+        f = random_join_map(rng, lat)
+        g = right_adjoint(f).right
+        candidates = [f, g]
+        for m in (f, g, f, g):
+            table = list(m.table)
+            table[rng.choice([0, lat.n - 1, rng.randrange(lat.n)])] = rng.randrange(lat.n)
+            candidates.append(LatticeMap(lat, table, m.kind))
+        for m in candidates:
+            join_ref = scanned_violation(m, lat.bottom, lat.join2)
+            meet_ref = scanned_violation(m, lat.top, lat.meet2)
+            assert verdict(validate_join_preserving(m)) == verdict(join_ref)
+            assert verdict(validate_meet_preserving(m)) == verdict(meet_ref)
+            failures.update(join=m.kind == JOIN_PRESERVING and join_ref is not None,
+                            meet=m.kind == MEET_PRESERVING and meet_ref is not None)
+        for a in candidates:
+            for b in candidates:
+                witness = scanned_adjunction(a, b)
+                assert verify_adjunction(a, b) == witness
+                failures.update(adjunction=witness is not None)
+    # lawful maps hold, and moving one entry breaks most of them
+    assert min(failures.values()) >= 6, failures
 
 
 @pytest.mark.parametrize("seed", range(8))

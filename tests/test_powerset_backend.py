@@ -62,6 +62,8 @@ def outcome(fn, *args):
 
 def analysis(lat):
     el = lat.elements
+    joins = [(5 * k + 3) % lat.n for k in range(len(lat.join_irreducibles()))]
+    meets = [(3 * k + 1) % lat.n for k in range(len(lat.meet_irreducibles()))]
     return {
         "names": [e.name for e in el],
         "bottom": lat.bottom.index,
@@ -71,8 +73,10 @@ def analysis(lat):
         "complement_table": lat.complement_table(),
         "irreducibles": [e.index for e in lat.join_irreducibles()],
         "meet_irreducibles": [e.index for e in lat.meet_irreducibles()],
-        "join_over": lat.join_over([(a.index, b.index) for a, b in zip(el, reversed(el))]),
-        "meet_over": lat.meet_over([(a.index, b.index) for a, b in zip(el, el[1:])]),
+        "join_extension": lat.join_extension(joins),
+        "meet_extension": lat.meet_extension(meets),
+        "right_adjoint_table": lat.right_adjoint_table(lat.join_extension(joins)),
+        "left_adjoint_table": lat.left_adjoint_table(lat.meet_extension(meets)),
         "height": lat.height,
         "repr": repr(lat),
         "ops": [

@@ -17,7 +17,10 @@ The list:
     a shipped scenario (an error where the scenario has no model);
   - `run --json` and `validate --non-paranoid` of every scenario that
     perfbench/run.py's `build_ops` generates for SEEDS of each in-process
-    workload;
+    workload, and `tables --json` of each agent's `f[A]` and each action's
+    `upd[a]` in every such scenario that is not `mode symbolic`; each prints
+    both maps of its pair, so the adjoints of the 12 x 12 grids of
+    epistemic-256 are compared byte for byte too;
   - `run`, `run --json` and `validate` of every parse, resolution and build
     error repro in tests/error_repros.json, and of MUTATIONS one-byte
     mutations of each shipped scenario (a byte deleted, inserted or
@@ -67,11 +70,7 @@ def command_list(workdir: Path) -> list[list[str]]:
                          ["validate", name, *flags]]
         for qid in re.findall(r"(?m)^query (\S+) prove ", text):
             commands += [["prove", name, qid], ["prove", name, qid, "--json"]]
-        maps = [f"{head}[{who}]" for who in re.findall(r"(?m)^agent (\S+)", text)
-                for head in ("f", "fi")]
-        maps += [f"{head}[{a}]" for a in re.findall(r"(?m)^action (\S+)", text)
-                 for head in ("upd", "after")]
-        for m in maps:
+        for m in map_names(text, ("f", "fi"), ("upd", "after")):
             commands += [["tables", name, m], ["tables", name, m, "--json"]]
     checks = [(r["id"], "\n".join(r["lines"]) + "\n")
               for r in json.loads(REPROS.read_text(encoding="utf-8"))]
@@ -91,7 +90,20 @@ def command_list(workdir: Path) -> list[list[str]]:
             for op in perfbench.build_ops(workload, seed, seed_dir):
                 path = op.argv[1]
                 commands += [["run", path, "--json"], ["validate", path, "--non-paranoid"]]
+                text = Path(path).read_text(encoding="utf-8")
+                if not re.search(r"(?m)^mode symbolic$", text):
+                    commands += [["tables", path, m, "--json"]
+                                 for m in map_names(text, ("f",), ("upd",))]
     return commands
+
+
+def map_names(text: str, agent_heads, action_heads) -> list[str]:
+    """The tables map names, head[who], of each agent and action that text
+    declares, under each of the given heads."""
+    return ([f"{head}[{who}]" for who in re.findall(r"(?m)^agent (\S+)", text)
+             for head in agent_heads]
+            + [f"{head}[{a}]" for a in re.findall(r"(?m)^action (\S+)", text)
+               for head in action_heads])
 
 
 def mutations(text: str, seed: str) -> list[str]:
